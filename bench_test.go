@@ -657,70 +657,46 @@ func serveBenchFixture(b *testing.B) (map[tagsim.Vendor]*tagsim.CloudService, []
 
 // BenchmarkServeRead sweeps the query plane across serving path
 // (svc: in-process stores; http: the full HTTP stack), read mix
-// (60/75/90% reads, writes making up the rest), client count, and read
-// mode (locked: the historical mutex path; lockfree: epoch views;
-// cached: epoch views + hot-tag cache). Reported metrics are the load
-// harness's req/s and p50/p95/p99 service latency; BENCH_serve.json
-// records the sweep.
+// (60/75/90% reads, writes making up the rest), and client count, on
+// the production read path: lock-free epoch views behind the hot-tag
+// cache. Reported metrics are the load harness's req/s and p50/p95/p99
+// service latency; BENCH_serve.json records the sweep. The trailing
+// "cached" keeps sub-benchmark names comparable with the recorded
+// history, which also holds the retired locked and uncached modes.
 func BenchmarkServeRead(b *testing.B) {
 	services, tags := serveBenchFixture(b)
-	modes := []struct {
-		name   string
-		locked bool
-		cached bool
-	}{
-		{"locked", true, false},
-		{"lockfree", false, false},
-		{"cached", false, true},
-	}
 	for _, path := range []string{"svc", "http"} {
 		for _, mix := range []int{60, 75, 90} {
 			for _, clients := range []int{1, 4, 8} {
-				for _, mode := range modes {
-					name := fmt.Sprintf("path=%s/mix=%d/clients=%d/%s", path, mix, clients, mode.name)
-					b.Run(name, func(b *testing.B) {
-						wasLocked := tagsim.SetLockedReads(mode.locked)
-						wasCached := tagsim.SetHotCache(mode.cached)
-						defer func() {
-							tagsim.SetLockedReads(wasLocked)
-							tagsim.SetHotCache(wasCached)
-						}()
-						var target tagsim.LoadTarget
-						var shutdown func()
-						switch path {
-						case "svc":
-							if mode.cached {
-								target = tagsim.NewCachedServiceTarget(services)
-							} else {
-								target = tagsim.NewServiceTarget(services)
-							}
-						case "http":
-							ts := httptest.NewServer(tagsim.NewQueryServer(services))
-							target = tagsim.NewHTTPTarget(ts.URL)
-							shutdown = ts.Close
-						}
-						if shutdown != nil {
-							defer shutdown()
-						}
-						cfg := tagsim.LoadConfig{
-							Workers: clients, Requests: b.N, Seed: 7,
-							Tags: tags, Mix: tagsim.LoadReadMix(mix),
-						}
-						b.ResetTimer()
-						res, err := tagsim.RunLoad(cfg, target)
-						b.StopTimer()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if res.Errors > 0 {
-							b.Fatalf("%d request errors", res.Errors)
-						}
-						b.ReportMetric(res.Throughput(), "req/s")
-						b.ReportMetric(res.Latency.P50, "p50-ms")
-						b.ReportMetric(res.Latency.P95, "p95-ms")
-						b.ReportMetric(res.Latency.P99, "p99-ms")
-					})
-				}
+				name := fmt.Sprintf("path=%s/mix=%d/clients=%d/cached", path, mix, clients)
+				b.Run(name, func(b *testing.B) {
+					var target tagsim.LoadTarget
+					switch path {
+					case "svc":
+						target = tagsim.NewCachedServiceTarget(services)
+					case "http":
+						ts := httptest.NewServer(tagsim.NewQueryServer(services))
+						defer ts.Close()
+						target = tagsim.NewHTTPTarget(ts.URL)
+					}
+					cfg := tagsim.LoadConfig{
+						Workers: clients, Requests: b.N, Seed: 7,
+						Tags: tags, Mix: tagsim.LoadReadMix(mix),
+					}
+					b.ResetTimer()
+					res, err := tagsim.RunLoad(cfg, target)
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Errors > 0 {
+						b.Fatalf("%d request errors", res.Errors)
+					}
+					b.ReportMetric(res.Throughput(), "req/s")
+					b.ReportMetric(res.Latency.P50, "p50-ms")
+					b.ReportMetric(res.Latency.P95, "p95-ms")
+					b.ReportMetric(res.Latency.P99, "p99-ms")
+				})
 			}
 		}
 	}
@@ -758,8 +734,6 @@ func BenchmarkServeOpenLoop(b *testing.B) {
 // instrumented within 5% of disabled.
 func BenchmarkObsOverhead(b *testing.B) {
 	services, tags := serveBenchFixture(b)
-	wasCached := tagsim.SetHotCache(true)
-	defer tagsim.SetHotCache(wasCached)
 	for _, mode := range []struct {
 		name string
 		on   bool
@@ -812,8 +786,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 // larger than the tracer itself. Per-mode results come out as
 // traced-ns/req, untraced-ns/req, and overhead-%.
 func BenchmarkTraceOverhead(b *testing.B) {
-	wasCached := tagsim.SetHotCache(true)
-	defer tagsim.SetHotCache(wasCached)
 	wasMetrics := tagsim.SetMetrics(true)
 	defer tagsim.SetMetrics(wasMetrics)
 	wasTracing := tagsim.SetTracing(true)

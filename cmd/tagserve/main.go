@@ -24,7 +24,6 @@
 //	         [-store-dir DIR] [-memtable-bytes N] [-retention SPEC]
 //	         [-load N] [-requests N] [-direct] [-writes PCT]
 //	         [-open-loop -rate R]
-//	         [-locked-reads] [-no-cache]
 //	         [-addr :8080] [-pprof]
 //
 // -store-dir makes the vendor stores persistent: every vendor keeps a
@@ -38,10 +37,7 @@
 // -writes dials the write share of the load mix (reads get the rest,
 // in the crawler's proportions). -open-loop switches the harness to
 // Poisson arrivals at -rate requests/second — the
-// coordinated-omission-honest view of tail latency. -locked-reads and
-// -no-cache are the serving plane's escape hatches: they fall back to
-// the mutex read path and bypass the hot-tag cache, the configuration
-// the lock-free epoch views and the cache are benchmarked against.
+// coordinated-omission-honest view of tail latency.
 //
 // Observability: the server always exposes GET /metrics (Prometheus
 // text) and GET /debug/vars (flat JSON) — per-endpoint latency
@@ -98,8 +94,6 @@ func main() {
 	writes := flag.Int("writes", 0, "write (POST /v1/report) share of the load mix in percent")
 	openLoop := flag.Bool("open-loop", false, "open-loop Poisson arrivals instead of the closed loop")
 	rate := flag.Float64("rate", 2000, "open-loop offered arrival rate across all workers, requests/second")
-	lockedReads := flag.Bool("locked-reads", false, "escape hatch: serve reads under the shard locks instead of the epoch views")
-	noCache := flag.Bool("no-cache", false, "escape hatch: bypass the hot-tag query cache")
 	addr := flag.String("addr", "", "serve the query API on this address until SIGINT/SIGTERM (empty: exit after the load report)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
@@ -112,8 +106,6 @@ func main() {
 		log.Fatalf("-retention: %v", retErr)
 	}
 	tierCfg := store.Tiering{Dir: *storeDir, MemtableBytes: *memtableBytes, Retention: ret}
-	store.SetLockedReads(*lockedReads)
-	cloud.SetHotCache(!*noCache)
 	loadCfg := load.Config{
 		Workers: *loadWorkers, Requests: *requests, Seed: *seed,
 		OpenLoop: *openLoop, OfferedRate: *rate,
@@ -286,18 +278,14 @@ func runLive(seed int64, scale float64, workers, devices, shards, historyLimit i
 }
 
 // driveLoad runs the load harness against the handler (over in-process
-// HTTP, or the store surface with direct — cached when the hot-tag
-// cache is on, mirroring what the HTTP query plane deploys).
+// HTTP, or the store surface behind the hot-tag cache with direct,
+// mirroring what the HTTP query plane deploys).
 func driveLoad(handler http.Handler, services map[trace.Vendor]*cloud.Service, tags []string, cfg load.Config, direct bool) (*load.Result, error) {
 	cfg.Tags = tags
 	var target load.Target
 	if direct {
 		log.Printf("load: %d workers x store surface (no HTTP)", cfg.Workers)
-		if cloud.HotCacheEnabled() {
-			target = load.NewCachedServiceTarget(services)
-		} else {
-			target = load.NewServiceTarget(services)
-		}
+		target = load.NewCachedServiceTarget(services)
 	} else {
 		ts := httptest.NewServer(handler)
 		defer ts.Close()
@@ -307,6 +295,17 @@ func driveLoad(handler http.Handler, services map[trace.Vendor]*cloud.Service, t
 	return load.Run(cfg, target)
 }
 
+// Connection time bounds for the -addr listener: a client gets
+// readHeaderTimeout to send its request line and headers, readTimeout
+// for the whole request including a POST body, and an idle keep-alive
+// connection is closed after idleTimeout. No write timeout: a
+// /debug/pprof profile legitimately streams for its requested seconds.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveUntilSignal serves the query API until SIGINT/SIGTERM, then
 // shuts down gracefully: the listener stops accepting, in-flight
 // requests — including POST /v1/report ingests — drain, and the final
@@ -315,7 +314,13 @@ func serveUntilSignal(addr string, handler http.Handler, services map[trace.Vend
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("serving the vendor query API on %s (SIGINT/SIGTERM to stop)", addr)

@@ -7,23 +7,21 @@
 //	tagsim -scenario wild|cafeteria -seed N -out DIR [-scale F] [-workers N] [-replicates N]
 //
 // -workers fans the wild campaign's country worlds across CPUs (0 = one
-// per CPU) without changing any output; -scan-workers additionally
-// region-shards each world's scan tick across a pool (also
-// output-preserving). -replicates N > 1 runs the wild campaign from N
-// derived seeds and writes each replicate's traces under DIR/repNNN/.
-// -reportlog additionally streams every cloud-accepted report to
-// DIR/reports.col in the binary columnar format as the simulation runs
-// (see internal/pipeline; tagsim.ReadReportsColumnar reads it back);
-// -truthlog does the same for ground-truth GPS fixes into
-// DIR/truth.col, the columnar spill format behind
-// tagsim.SetResidentTruth. -metrics-every D logs the process-wide
-// metrics snapshot (scan ticks, region scan latency, truth-spill bytes,
-// pipeline throughput, storage-tier activity — WAL records/fsyncs,
-// flushes, compactions — the obs.Default registry) to stderr every D
-// while the scenario runs, plus once at the end — the headless
-// campaign's progress view. -trace-every D additionally renders every
-// newly captured slow-op trace (tier flushes, compactions, pipeline
-// batches slower than their own p99) as a flame-line block.
+// per CPU) without changing any output. -replicates N > 1 runs the wild
+// campaign from N derived seeds and writes each replicate's traces under
+// DIR/repNNN/. -reportlog additionally streams every cloud-accepted
+// report to DIR/reports.col in the binary columnar format as the
+// simulation runs (see internal/pipeline; tagsim.ReadReportsColumnar
+// reads it back); -truthlog does the same for ground-truth GPS fixes into
+// DIR/truth.col, the columnar format a campaign spills ground truth in
+// (CampaignOptions.SpillTruth). -metrics-every D logs the process-wide
+// metrics snapshot (scan ticks, truth-spill bytes, pipeline throughput,
+// storage-tier activity — WAL records/fsyncs, flushes, compactions — the
+// obs.Default registry) to stderr every D while the scenario runs, plus
+// once at the end — the headless campaign's progress view. -trace-every D
+// additionally renders every newly captured slow-op trace (tier flushes,
+// compactions, pipeline batches slower than their own p99) as a
+// flame-line block.
 package main
 
 import (
@@ -49,7 +47,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "wild campaign scale")
 	fleetScale := flag.Float64("fleet-scale", 1, "reporting-fleet size multiplier (residents, pedestrians, staff, neighbors, co-travelers)")
 	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = one per CPU, 1 = sequential)")
-	scanWorkers := flag.Int("scan-workers", 0, "region-shard each world's scan tick across this many workers (0 = serial)")
 	replicates := flag.Int("replicates", 1, "wild campaign replicates to run from derived seeds")
 	reportLog := flag.Bool("reportlog", false, "stream accepted cloud reports to DIR/reports.col (columnar) during the wild run")
 	truthLog := flag.Bool("truthlog", false, "stream ground-truth GPS fixes to DIR/truth.col (columnar) during the wild run")
@@ -71,7 +68,7 @@ func main() {
 	}
 	switch *scenarioName {
 	case "wild":
-		runWild(*seed, *scale, *fleetScale, *workers, *scanWorkers, *replicates, *reportLog, *truthLog, *out)
+		runWild(*seed, *scale, *fleetScale, *workers, *replicates, *reportLog, *truthLog, *out)
 	case "cafeteria":
 		runCafeteria(*seed, *out)
 	default:
@@ -148,8 +145,8 @@ func startTraceLogger(every time.Duration) (stop func()) {
 	}
 }
 
-func runWild(seed int64, scale, fleetScale float64, workers, scanWorkers, replicates int, reportLog, truthLog bool, out string) {
-	cfg := tagsim.WildConfig{Seed: seed, Scale: scale, FleetScale: fleetScale, Workers: workers, ScanWorkers: scanWorkers}
+func runWild(seed int64, scale, fleetScale float64, workers, replicates int, reportLog, truthLog bool, out string) {
+	cfg := tagsim.WildConfig{Seed: seed, Scale: scale, FleetScale: fleetScale, Workers: workers}
 	run := func(cfg tagsim.WildConfig, dir string) *tagsim.WildResult {
 		if !reportLog && !truthLog {
 			return tagsim.RunWild(cfg)

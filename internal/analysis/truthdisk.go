@@ -4,30 +4,11 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tagsim/internal/geo"
 	"tagsim/internal/trace"
 )
-
-// truthSpill routes campaign ground truth through disk-backed columnar
-// logs instead of resident fix slices. Off by default: spill needs a
-// writable temp directory and trades At-query locality for bounded
-// memory, so continental-scale runs opt in explicitly.
-var truthSpill atomic.Bool
-
-// SetResidentTruth toggles whether campaign accumulation keeps ground
-// truth resident (the default) or spills it to disk-backed columnar
-// logs read through a cursor (bounded memory; raw-fix consumers like
-// the headline episode picker and the hexagon figures see empty truth).
-// It returns the previous setting so callers can restore it.
-func SetResidentTruth(resident bool) (was bool) {
-	return !truthSpill.Swap(!resident)
-}
-
-// ResidentTruth reports whether campaign ground truth stays resident.
-func ResidentTruth() bool { return !truthSpill.Load() }
 
 // TruthStore is a complete, time-sorted, frame-structured ground-truth
 // log — the seekable face of pipeline.TruthFile, declared here so the

@@ -38,18 +38,6 @@ import (
 // slot array is 64KiB of pointers).
 const DefaultHotCacheSlots = 4096
 
-// hotCacheDisabled bypasses the cache (every query recomputes against
-// the stores) — the escape hatch the cached-vs-direct equivalence
-// tests and benchmarks toggle, mirroring store.SetLockedReads.
-var hotCacheDisabled atomic.Bool
-
-// SetHotCache toggles hot-tag caching (default on). It returns the
-// previous setting.
-func SetHotCache(enabled bool) (was bool) { return !hotCacheDisabled.Swap(!enabled) }
-
-// HotCacheEnabled reports whether hot-tag caching is enabled.
-func HotCacheEnabled() bool { return !hotCacheDisabled.Load() }
-
 // hotEntry is one immutable cache fill: everything the combined-view
 // last-known, track, and capped-history queries need for one tag, valid
 // exactly while the summed shard epochs of the backing stores still
@@ -203,13 +191,6 @@ func (c *HotCache) LastSeen(tagID string) (pos geo.LatLon, at time.Time, found, 
 // traces nothing): the probe outcome as an event, and a miss's fill as
 // a timed cache.fill.lastseen span.
 func (c *HotCache) LastSeenTraced(tagID string, tr *otrace.Trace) (pos geo.LatLon, at time.Time, found, known bool) {
-	if hotCacheDisabled.Load() {
-		if !c.knownDirect(tagID) {
-			return pos, at, false, false
-		}
-		pos, at, found = c.combined.LastSeen(tagID)
-		return pos, at, found, true
-	}
 	slot, e, epoch := c.probe(tagID, tr)
 	if e == nil {
 		sp := tr.Start(otrace.PlaneCache, "cache.fill.lastseen", 0, 0)
@@ -237,12 +218,6 @@ func (c *HotCache) Track(tagID string) (track []trace.Report, known bool) {
 // nothing). The fill span's A1 is the merged track length; the merge
 // itself threads tr down into each store's read path.
 func (c *HotCache) TrackTraced(tagID string, tr *otrace.Trace) (track []trace.Report, known bool) {
-	if hotCacheDisabled.Load() {
-		if !c.knownDirect(tagID) {
-			return nil, false
-		}
-		return c.combined.MergedHistoryTraced(tagID, tr), true
-	}
 	slot, e, epoch := c.probe(tagID, tr)
 	if e == nil || !e.hasTrack {
 		sp := tr.Start(otrace.PlaneCache, "cache.fill.track", 0, 0)
@@ -280,12 +255,6 @@ func (c *HotCache) HistoryTail(tagID string, limit int) (hist []trace.Report, kn
 // capture shows as cache.miss → cache.fill.history → store.memtable →
 // store.pread/store.decode.
 func (c *HotCache) HistoryTailTraced(tagID string, limit int, tr *otrace.Trace) (hist []trace.Report, known bool) {
-	if hotCacheDisabled.Load() {
-		if !c.knownDirect(tagID) {
-			return nil, false
-		}
-		return c.combined.MergedHistoryTailTraced(tagID, limit, tr), true
-	}
 	slot, e, epoch := c.probe(tagID, tr)
 	if e == nil || !e.hasHist || e.histLimit != limit {
 		sp := tr.Start(otrace.PlaneCache, "cache.fill.history", int64(limit), 0)
@@ -312,10 +281,8 @@ func (c *HotCache) HistoryTailTraced(tagID string, limit int, tr *otrace.Trace) 
 // when one exists, otherwise the direct sorted-order probe (without
 // filling — pure existence checks shouldn't evict a hot fill).
 func (c *HotCache) Known(tagID string) bool {
-	if !hotCacheDisabled.Load() {
-		if _, e, _ := c.probe(tagID, nil); e != nil {
-			return e.known
-		}
+	if _, e, _ := c.probe(tagID, nil); e != nil {
+		return e.known
 	}
 	return c.knownDirect(tagID)
 }

@@ -22,82 +22,123 @@ func cacheServices() (map[trace.Vendor]*Service, *Service, *Service) {
 	}, apple, samsung
 }
 
+// uncached is the oracle for HotCache: the same combined-view queries
+// answered by Combined directly against the stores on every call.
+type uncached Combined
+
+func newUncached(services map[trace.Vendor]*Service) uncached {
+	var svcs []*Service
+	for _, svc := range services {
+		svcs = append(svcs, svc)
+	}
+	sortServices(svcs)
+	return uncached(svcs)
+}
+
+func (u uncached) Known(tagID string) bool {
+	for _, svc := range u {
+		if svc.Known(tagID) {
+			return true
+		}
+	}
+	return false
+}
+
+func (u uncached) LastSeen(tagID string) (pos geo.LatLon, at time.Time, found, known bool) {
+	if !u.Known(tagID) {
+		return pos, at, false, false
+	}
+	pos, at, found = Combined(u).LastSeen(tagID)
+	return pos, at, found, true
+}
+
+func (u uncached) Track(tagID string) ([]trace.Report, bool) {
+	if !u.Known(tagID) {
+		return nil, false
+	}
+	return Combined(u).MergedHistory(tagID), true
+}
+
+func (u uncached) HistoryTail(tagID string, limit int) ([]trace.Report, bool) {
+	if !u.Known(tagID) {
+		return nil, false
+	}
+	return Combined(u).MergedHistoryTail(tagID, limit), true
+}
+
 // TestHotCacheNeverStale is the invalidation property: after ANY state
 // change to a tag's shard — accepted ingest, restore, registration —
 // the very next cached read reflects it, because the entry's epoch no
 // longer matches. A single-slot cache maximizes collisions, so the
-// property also holds through constant eviction.
+// property also holds through constant eviction; a roomy one keeps every
+// tag's entry resident across the writes, so a stale entry would be
+// served if the epoch check ever let it through.
 func TestHotCacheNeverStale(t *testing.T) {
-	services, apple, samsung := cacheServices()
-	direct := NewHotCache(services, 1)
-	was := SetHotCache(false)
-	defer SetHotCache(was)
-	SetHotCache(true)
-
-	cache := NewHotCache(services, 1)
-	tags := []string{"hot-a", "hot-b", "hot-c"}
-	for step := 0; step < 60; step++ {
-		id := tags[step%len(tags)]
-		at := cacheBase.Add(time.Duration(step) * 4 * time.Minute)
-		svc := apple
-		if step%2 == 1 {
-			svc = samsung
-		}
-		switch step % 5 {
-		case 3: // restore path
-			svc.Restore([]trace.Report{{T: at, TagID: id, Vendor: svc.Vendor(),
-				Pos: geo.LatLon{Lat: float64(step)}}})
-		case 4: // rejected ingest: no state change, cache may keep serving
-			svc.Ingest(trace.Report{T: cacheBase, TagID: id, Vendor: svc.Vendor()})
-		default:
-			svc.Ingest(trace.Report{T: at, HeardAt: at, TagID: id, Vendor: svc.Vendor(),
-				Pos: geo.LatLon{Lon: float64(step)}})
-		}
-		// Every read after every write: cached answers must equal the
-		// direct (disabled-path) computation exactly.
-		for _, q := range tags {
-			SetHotCache(false)
-			wPos, wAt, wFound, wKnown := direct.LastSeen(q)
-			wTrack, _ := direct.Track(q)
-			SetHotCache(true)
-			gPos, gAt, gFound, gKnown := cache.LastSeen(q)
-			if gPos != wPos || !gAt.Equal(wAt) || gFound != wFound || gKnown != wKnown {
-				t.Fatalf("step %d: cached lastknown(%s) = (%v,%v,%v,%v), want (%v,%v,%v,%v)",
-					step, q, gPos, gAt, gFound, gKnown, wPos, wAt, wFound, wKnown)
+	t.Parallel()
+	for _, slots := range []int{1, 64} {
+		services, apple, samsung := cacheServices()
+		direct := newUncached(services)
+		cache := NewHotCache(services, slots)
+		tags := []string{"hot-a", "hot-b", "hot-c"}
+		for step := 0; step < 60; step++ {
+			id := tags[step%len(tags)]
+			at := cacheBase.Add(time.Duration(step) * 4 * time.Minute)
+			svc := apple
+			if step%2 == 1 {
+				svc = samsung
 			}
-			gTrack, _ := cache.Track(q)
-			if !reflect.DeepEqual(gTrack, wTrack) {
-				t.Fatalf("step %d: cached track(%s) has %d reports, want %d", step, q, len(gTrack), len(wTrack))
+			switch step % 5 {
+			case 3: // restore path
+				svc.Restore([]trace.Report{{T: at, TagID: id, Vendor: svc.Vendor(),
+					Pos: geo.LatLon{Lat: float64(step)}}})
+			case 4: // rejected ingest: no state change, cache may keep serving
+				svc.Ingest(trace.Report{T: cacheBase, TagID: id, Vendor: svc.Vendor()})
+			default:
+				svc.Ingest(trace.Report{T: at, HeardAt: at, TagID: id, Vendor: svc.Vendor(),
+					Pos: geo.LatLon{Lon: float64(step)}})
 			}
-			if cache.Known(q) != wKnown {
-				t.Fatalf("step %d: cached known(%s) != %v", step, q, wKnown)
-			}
-			for _, limit := range []int{0, 2, -1} {
-				SetHotCache(false)
-				wHist, _ := direct.HistoryTail(q, limit)
-				SetHotCache(true)
-				gHist, gHistKnown := cache.HistoryTail(q, limit)
-				if gHistKnown != wKnown || !reflect.DeepEqual(gHist, wHist) {
-					t.Fatalf("step %d: cached history(%s, %d) has %d reports (known=%v), want %d (known=%v)",
-						step, q, limit, len(gHist), gHistKnown, len(wHist), wKnown)
+			// Every read after every write: cached answers must equal the
+			// direct uncached computation exactly.
+			for _, q := range tags {
+				wPos, wAt, wFound, wKnown := direct.LastSeen(q)
+				wTrack, _ := direct.Track(q)
+				gPos, gAt, gFound, gKnown := cache.LastSeen(q)
+				if gPos != wPos || !gAt.Equal(wAt) || gFound != wFound || gKnown != wKnown {
+					t.Fatalf("slots=%d step %d: cached lastknown(%s) = (%v,%v,%v,%v), want (%v,%v,%v,%v)",
+						slots, step, q, gPos, gAt, gFound, gKnown, wPos, wAt, wFound, wKnown)
+				}
+				gTrack, _ := cache.Track(q)
+				if !reflect.DeepEqual(gTrack, wTrack) {
+					t.Fatalf("slots=%d step %d: cached track(%s) has %d reports, want %d", slots, step, q, len(gTrack), len(wTrack))
+				}
+				if cache.Known(q) != wKnown {
+					t.Fatalf("slots=%d step %d: cached known(%s) != %v", slots, step, q, wKnown)
+				}
+				for _, limit := range []int{0, 2, -1} {
+					wHist, _ := direct.HistoryTail(q, limit)
+					gHist, gHistKnown := cache.HistoryTail(q, limit)
+					if gHistKnown != wKnown || !reflect.DeepEqual(gHist, wHist) {
+						t.Fatalf("slots=%d step %d: cached history(%s, %d) has %d reports (known=%v), want %d (known=%v)",
+							slots, step, q, limit, len(gHist), gHistKnown, len(wHist), wKnown)
+					}
 				}
 			}
 		}
-	}
-	// Unknown tags stay unknown through the cache.
-	if _, _, _, known := cache.LastSeen("ghost"); known {
-		t.Error("cache invented a tag")
-	}
-	if _, known := cache.Track("ghost"); known {
-		t.Error("cache invented a track")
-	}
-	if hist, known := cache.HistoryTail("ghost", 5); known || hist != nil {
-		t.Error("cache invented a history")
-	}
-	// Registration alone flips known without a fix — and invalidates.
-	apple.Register("paired-quiet")
-	if _, _, found, known := cache.LastSeen("paired-quiet"); !known || found {
-		t.Error("registered-but-quiet tag must be known with no fix")
+		// Unknown tags stay unknown through the cache.
+		if _, _, _, known := cache.LastSeen("ghost"); known {
+			t.Error("cache invented a tag")
+		}
+		if _, known := cache.Track("ghost"); known {
+			t.Error("cache invented a track")
+		}
+		if hist, known := cache.HistoryTail("ghost", 5); known || hist != nil {
+			t.Error("cache invented a history")
+		}
+		// Registration alone flips known without a fix — and invalidates.
+		apple.Register("paired-quiet")
+		if _, _, found, known := cache.LastSeen("paired-quiet"); !known || found {
+			t.Error("registered-but-quiet tag must be known with no fix")
+		}
 	}
 }
 
@@ -105,9 +146,8 @@ func TestHotCacheNeverStale(t *testing.T) {
 // tag is served from the slot — observable through the lazy track fill
 // sharing the last-known entry.
 func TestHotCacheHitServesWithoutStores(t *testing.T) {
+	t.Parallel()
 	services, apple, _ := cacheServices()
-	was := SetHotCache(true)
-	defer SetHotCache(was)
 	at := cacheBase
 	apple.Ingest(trace.Report{T: at, TagID: "solo", Vendor: trace.VendorApple,
 		Pos: geo.LatLon{Lat: 1, Lon: 2}})
@@ -135,10 +175,10 @@ func TestHotCacheHitServesWithoutStores(t *testing.T) {
 // observe a tag's last-seen time move backward — the cached answer is
 // never staler than the epoch it was published under. Run under -race.
 func TestHotCacheRaced(t *testing.T) {
+	t.Parallel()
 	services, apple, samsung := cacheServices()
-	was := SetHotCache(true)
-	defer SetHotCache(was)
 	cache := NewHotCache(services, 1)
+	direct := newUncached(services)
 	tags := []string{"raced-a", "raced-b"}
 
 	var stop atomic.Bool
@@ -185,11 +225,9 @@ func TestHotCacheRaced(t *testing.T) {
 	}
 	// Quiesced: cached equals direct for every tag.
 	for _, id := range tags {
-		SetHotCache(false)
-		_, wantAt, _, _ := cache.LastSeen(id)
-		wantTrack, _ := cache.Track(id)
-		wantHist, _ := cache.HistoryTail(id, 3)
-		SetHotCache(true)
+		_, wantAt, _, _ := direct.LastSeen(id)
+		wantTrack, _ := direct.Track(id)
+		wantHist, _ := direct.HistoryTail(id, 3)
 		_, gotAt, _, _ := cache.LastSeen(id)
 		gotTrack, _ := cache.Track(id)
 		gotHist, _ := cache.HistoryTail(id, 3)

@@ -217,13 +217,13 @@ func (d *Device) ShouldReport(tagID string, now time.Time, rng *rand.Rand) (dela
 // ReportDecision is ShouldReport over caller-owned eligibility state:
 // next is this (device, tag) pair's next-eligible instant in unix nanos
 // (0 = never considered), and the returned newNext replaces it. The
-// region-sharded scan tick uses this form — each worker owns its tags'
-// eligibility slots outright, so concurrent tags never race on a shared
-// device map — while ShouldReport remains the map-backed wrapper.
+// radio plane uses this form — it owns every tag's eligibility slots,
+// keyed by device index — while ShouldReport remains the map-backed
+// wrapper.
 //
 // The draw sequence and every stored instant are identical between the
 // two entry points (ShouldReport delegates here), which is what keeps
-// the sharded scan byte-identical to the historical serial path.
+// the plane-owned state byte-identical to the device-owned map.
 func (d *Device) ReportDecision(now time.Time, next int64, rng *rand.Rand) (newNext int64, delay time.Duration, ok bool) {
 	s := d.Strategy
 	nowNs := now.UnixNano()

@@ -291,3 +291,26 @@ func BenchmarkShouldReport(b *testing.B) {
 		d.ShouldReport("tag", t0.Add(time.Duration(i)*time.Hour), rng)
 	}
 }
+
+// TestReportDecisionMatchesShouldReport drives the two entry points with
+// identical RNG streams and random decision sequences, checking the map-
+// backed wrapper and the caller-owned-state form never diverge.
+func TestReportDecisionMatchesShouldReport(t *testing.T) {
+	a := newSamsung("a")
+	b := newSamsung("b")
+	rngA := rand.New(rand.NewSource(55))
+	rngB := rand.New(rand.NewSource(55))
+	var next int64
+	now := t0
+	for i := 0; i < 500; i++ {
+		delayA, okA := a.ShouldReport("tag-x", now, rngA)
+		var delayB int64
+		newNext, dB, okB := b.ReportDecision(now, next, rngB)
+		next = newNext
+		delayB = int64(dB)
+		if okA != okB || int64(delayA) != delayB {
+			t.Fatalf("step %d: ShouldReport (%v,%v) vs ReportDecision (%v,%v)", i, delayA, okA, dB, okB)
+		}
+		now = now.Add(time.Duration(1+i%7) * time.Minute)
+	}
+}

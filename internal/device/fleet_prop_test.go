@@ -138,3 +138,27 @@ func TestNearAllocationFree(t *testing.T) {
 		t.Errorf("Near allocates %.1f times per query, want 0", allocs)
 	}
 }
+
+// TestNearIndicesMatchesNear pins the fleet-level index query to Near on
+// uneven radii, including the overflow-only path.
+func TestNearIndicesMatchesNear(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	f := randomFleet(rng, 300, 4000)
+	devs := f.Devices()
+	for _, radius := range []float64{37, 250, 1999} {
+		for i := 0; i < 32; i++ {
+			q := geo.Destination(origin, rng.Float64()*360, rng.Float64()*6000)
+			byDev := f.Near(q, t0, radius, nil)
+			idx := f.NearIndices(q, t0, radius, nil)
+			if len(byDev) != len(idx) {
+				t.Fatalf("radius %v query %d: Near %d, NearIndices %d", radius, i, len(byDev), len(idx))
+			}
+			for j := range idx {
+				if devs[idx[j]] != byDev[j] {
+					t.Fatalf("radius %v query %d result %d: index %d is %s, Near gave %s",
+						radius, i, j, idx[j], devs[idx[j]].ID, byDev[j].ID)
+				}
+			}
+		}
+	}
+}

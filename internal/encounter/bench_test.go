@@ -186,40 +186,6 @@ func BenchmarkScanOnce(b *testing.B) {
 	}
 }
 
-// BenchmarkScanRegions measures the region-sharded tick at continental
-// shapes: a city-shaped fleet at constant density with 64 tags scattered
-// across it, swept over worker counts. One op is a full scan tick. The
-// fleet is built once per size (inside the fleet-level sub-benchmark, so
-// -bench filters skip construction of the sizes they exclude) and shared
-// across worker counts — the plane owns all mutable scan state, so each
-// sub-benchmark starts from identical conditions. BENCH_world.json
-// records this sweep; on a single-vCPU host the worker sweep documents
-// the scheduling overhead floor rather than a speedup.
-func BenchmarkScanRegions(b *testing.B) {
-	for _, nDev := range []int{60000, 600000, 1000000} {
-		nDev := nDev
-		b.Run(fmt.Sprintf("fleet=%d", nDev), func(b *testing.B) {
-			devices := benchFleet(nDev)
-			radius := 2000 * math.Sqrt(float64(nDev)/600)
-			fleet := device.NewFleet(origin, devices)
-			for _, workers := range []int{1, 2, 4, 8} {
-				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					tags, services := benchTags(64, radius)
-					e := sim.NewEngine(t0, 7)
-					p := New(Config{ScanWorkers: workers}, e, fleet, tags, services)
-					defer p.Close()
-					p.ScanOnce(t0) // warm buffers
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						p.ScanOnce(t0.Add(time.Duration(i+1) * 30 * time.Second))
-					}
-				})
-			}
-		})
-	}
-}
-
 func BenchmarkScanOnceDenseCrowdIndexed(b *testing.B) {
 	// The historical dense-crowd shape (everyone within radio range), kept
 	// for comparability with BenchmarkScanOnceDenseCrowd in encounter_test.

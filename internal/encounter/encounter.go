@@ -9,17 +9,10 @@
 // intervals over 120 simulated days, per-beacon events would dominate the
 // event queue without changing any measured quantity.
 //
-// With Config.ScanWorkers > 1 a single world's tick is sharded across
-// grid regions: tags are grouped by the row band of the fleet grid under
-// their current position, each band scans on a pooled worker, and report
-// deliveries are deferred and replayed in global tag order. Tags are the
-// unit of parallelism because each (tag, tick) owns an independent named
-// RNG stream; within one tag the draw sequence is data-dependent and
-// inherently serial. The engine breaks same-time event ties by insertion
-// order, so the in-order replay makes the sharded schedule — and
-// therefore the whole simulation output — byte-identical to the serial
-// path at any worker count (see SetRegionSharding and the region
-// equivalence tests).
+// Each (tag, tick) owns an independent named RNG stream, and a tick scans
+// tags in slice order, scheduling each report's delivery as it is drawn;
+// the engine breaks same-time event ties by insertion order, so the
+// simulation output is a pure function of the seed.
 package encounter
 
 import (
@@ -32,7 +25,6 @@ import (
 	"tagsim/internal/device"
 	"tagsim/internal/geo"
 	"tagsim/internal/obs"
-	"tagsim/internal/runner"
 	"tagsim/internal/sim"
 	"tagsim/internal/tag"
 	"tagsim/internal/trace"
@@ -52,15 +44,6 @@ type Config struct {
 	CrossEcosystem bool
 	// Receiver is the scanning radio model (defaults to a typical phone).
 	Receiver ble.Receiver
-	// ScanWorkers shards the scan tick across grid regions on a reusable
-	// worker pool (<= 1 keeps the historical serial tick). Output is
-	// byte-identical at any value; see the package comment.
-	ScanWorkers int
-	// ScanRegions overrides how many grid-row bands the fleet is cut
-	// into (0 = 4x ScanWorkers, clamped to the grid's rows). More
-	// regions than workers lets the in-order job claim balance uneven
-	// tag clustering.
-	ScanRegions int
 }
 
 func (c *Config) defaults() {
@@ -75,38 +58,6 @@ func (c *Config) defaults() {
 	}
 }
 
-// shardingDisabled routes every tick through the serial path regardless
-// of ScanWorkers. It exists so equivalence tests and recorded benchmarks
-// can pin the historical execution order through unmodified simulation
-// code (the scan-tick analogue of device.SetGridIndexing).
-var shardingDisabled atomic.Bool
-
-// SetRegionSharding toggles the region-sharded scan tick for planes with
-// ScanWorkers > 1 (testing/benchmark escape hatch; the default is
-// enabled). It returns the previous setting so tests can restore it.
-func SetRegionSharding(enabled bool) (was bool) {
-	return !shardingDisabled.Swap(!enabled)
-}
-
-// RegionSharding reports whether the region-sharded tick is enabled.
-func RegionSharding() bool { return !shardingDisabled.Load() }
-
-// scanScratch is one worker's private hot-path state: the candidate
-// index buffer, the reusable reseedable RNG stream, and a fleet query
-// stream with its own gather scratch. scratch[0] serves the serial path.
-type scanScratch struct {
-	buf    []int32
-	stream *sim.Stream
-	search *device.Searcher
-}
-
-// pendingReport is one report whose delivery scheduling was deferred by
-// a scan worker, to be replayed in tag order on the engine goroutine.
-type pendingReport struct {
-	rep trace.Report
-	svc *cloud.Service
-}
-
 // Plane wires tags, a device fleet, and vendor clouds together.
 type Plane struct {
 	cfg      Config
@@ -117,9 +68,7 @@ type Plane struct {
 	devs     []*device.Device // fleet.Devices(), cached for index lookups
 
 	// Counters are atomics so a live serve loop (or a -metrics-every
-	// logger) can read Stats concurrently with a running scan loop, and
-	// so sharded scan workers can bump them without coordination (adds
-	// commute, so totals match the serial path exactly).
+	// logger) can read Stats concurrently with a running scan loop.
 	ticks      atomic.Uint64
 	heard      atomic.Uint64
 	reported   atomic.Uint64
@@ -140,30 +89,15 @@ type Plane struct {
 	// the exact seed the historical RNG(name) derivation produced;
 	// beaconRem carries the fractional expected-beacon mass between
 	// ticks per tag; elig holds each tag's per-device next-eligible
-	// reporting instants (plane-owned, keyed by device index, so
-	// concurrently scanned tags never share mutable device state).
+	// reporting instants (plane-owned and keyed by device index, so the
+	// fleet's devices carry no per-tag cooldown state); buf is the
+	// candidate index buffer and stream the reseedable RNG.
 	tickKey   []byte
 	tagSeed   []sim.StreamSeed
 	beaconRem []float64
 	elig      []map[int32]int64
-	scratch   []scanScratch
-
-	// emitNow schedules a report immediately (serial path); emitLater
-	// defers it into pending for the in-order replay (sharded path).
-	// Both are bound once at construction so ticks allocate nothing.
-	emitNow   func(ti int, pr pendingReport)
-	emitLater func(ti int, pr pendingReport)
-
-	// Region sharding state (pool == nil means the plane always scans
-	// serially): tags are bucketed into regionTags by the band under
-	// their precomputed tagPos, jobs lists the non-empty bands, and
-	// pending holds each tag's deferred deliveries until the replay.
-	pool       *runner.Pool
-	regions    device.Regions
-	tagPos     []geo.LatLon
-	regionTags [][]int
-	jobs       []int
-	pending    [][]pendingReport
+	buf       []int32
+	stream    *sim.Stream
 }
 
 // New builds a radio plane. Services are keyed by tag vendor; a tag whose
@@ -189,41 +123,11 @@ func New(cfg Config, e *sim.Engine, fleet *device.Fleet, tags []*tag.Tag, servic
 		tagSeed:   tagSeed,
 		beaconRem: make([]float64, len(tags)),
 		elig:      make([]map[int32]int64, len(tags)),
+		buf:       make([]int32, 0, 256),
+		stream:    sim.NewStream(),
 	}
 	for i := range p.elig {
 		p.elig[i] = make(map[int32]int64)
-	}
-	p.emitNow = p.deliverNow
-	p.emitLater = p.deferDelivery
-
-	workers := cfg.ScanWorkers
-	if workers > len(tags) {
-		workers = len(tags) // a worker per tag saturates the parallelism
-	}
-	if workers > 1 {
-		nRegions := cfg.ScanRegions
-		if nRegions <= 0 {
-			nRegions = 4 * workers
-		}
-		if regions := fleet.Regions(nRegions); regions.Count() > 1 {
-			p.regions = regions
-			p.pool = runner.NewPool(workers)
-			p.tagPos = make([]geo.LatLon, len(tags))
-			p.regionTags = make([][]int, regions.Count())
-			p.pending = make([][]pendingReport, len(tags))
-		}
-	}
-	nScratch := 1
-	if p.pool != nil {
-		nScratch = p.pool.Workers()
-	}
-	p.scratch = make([]scanScratch, nScratch)
-	for i := range p.scratch {
-		p.scratch[i] = scanScratch{
-			buf:    make([]int32, 0, 256),
-			stream: sim.NewStream(),
-			search: fleet.Searcher(),
-		}
 	}
 	return p
 }
@@ -233,23 +137,14 @@ func (p *Plane) Attach(start time.Time) (stop func()) {
 	return p.engine.EveryFixed(start, p.cfg.ScanInterval, p.ScanOnce)
 }
 
-// Close releases the scan pool's worker goroutines (no-op for serial
-// planes). The plane must not scan after Close.
-func (p *Plane) Close() {
-	if p.pool != nil {
-		p.pool.Close()
-	}
-}
-
 // Process-wide radio-plane series in the obs.Default registry,
 // aggregated across every live Plane (a campaign builds one per world).
 var (
-	obsTicks      = obs.GetCounter("encounter_ticks_total")
-	obsHeard      = obs.GetCounter("encounter_heard_total")
-	obsReported   = obs.GetCounter("encounter_reported_total")
-	obsDelivered  = obs.GetCounter("encounter_delivered_total")
-	obsOverflow   = obs.GetCounter("encounter_grid_overflow_total")
-	obsRegionScan = obs.GetHistogram("encounter_region_scan_seconds")
+	obsTicks     = obs.GetCounter("encounter_ticks_total")
+	obsHeard     = obs.GetCounter("encounter_heard_total")
+	obsReported  = obs.GetCounter("encounter_reported_total")
+	obsDelivered = obs.GetCounter("encounter_delivered_total")
+	obsOverflow  = obs.GetCounter("encounter_grid_overflow_total")
 )
 
 // ScanOnce evaluates one encounter window at the given virtual time.
@@ -259,66 +154,15 @@ func (p *Plane) ScanOnce(now time.Time) {
 	// One formatting of the scan instant serves every tag this tick; it
 	// is the per-tick suffix of each tag's RNG stream name.
 	p.tickKey = now.UTC().AppendFormat(p.tickKey[:0], time.RFC3339Nano)
-	if p.pool != nil && !shardingDisabled.Load() {
-		p.scanSharded(now)
-		return
-	}
-	ws := &p.scratch[0]
 	for i, tg := range p.tags {
-		p.scanTag(ws, i, tg, now, tg.Pos(now), p.emitNow)
+		p.scanTag(i, tg, now)
 	}
 }
 
-// scanSharded runs one tick across the region pool. Tag positions are
-// resolved up front (mobility models are pure functions of time, but
-// resolving them once keeps the region assignment in one place), tags
-// are bucketed by region band, and the non-empty bands are claimed
-// in order by the pooled workers. Every per-tag effect (RNG draws,
-// beacon accounting, eligibility slots) is owned by exactly one worker
-// this tick; the only cross-tag effect — report delivery scheduling —
-// is deferred and replayed in tag order below.
-func (p *Plane) scanSharded(now time.Time) {
-	for i, tg := range p.tags {
-		p.tagPos[i] = tg.Pos(now)
-	}
-	for r := range p.regionTags {
-		p.regionTags[r] = p.regionTags[r][:0]
-	}
-	for i := range p.tags {
-		r := p.regions.Of(p.tagPos[i])
-		p.regionTags[r] = append(p.regionTags[r], i)
-	}
-	p.jobs = p.jobs[:0]
-	for r, ts := range p.regionTags {
-		if len(ts) > 0 {
-			p.jobs = append(p.jobs, r)
-		}
-	}
-	p.pool.Run(len(p.jobs), func(worker, job int) {
-		start := time.Now()
-		ws := &p.scratch[worker]
-		for _, ti := range p.regionTags[p.jobs[job]] {
-			p.scanTag(ws, ti, p.tags[ti], now, p.tagPos[ti], p.emitLater)
-		}
-		obsRegionScan.Observe(time.Since(start))
-	})
-	// Replay deferred deliveries in global tag order. The engine breaks
-	// same-time ties by insertion sequence, and ScanOnce runs atomically
-	// within one engine event, so scheduling here in (tag, candidate)
-	// order reproduces the serial path's event order exactly.
-	for ti := range p.pending {
-		for _, pr := range p.pending[ti] {
-			p.schedule(pr)
-		}
-		p.pending[ti] = p.pending[ti][:0]
-	}
-}
-
-// scanTag evaluates one tag's scan window on the given worker scratch.
-// Reports pass through emit: immediate scheduling on the serial path,
-// deferred on the sharded path. The draw sequence is identical either
-// way — emit performs no RNG draws.
-func (p *Plane) scanTag(ws *scanScratch, ti int, tg *tag.Tag, now time.Time, tagPos geo.LatLon, emit func(int, pendingReport)) {
+// scanTag evaluates one tag's scan window, scheduling each report's
+// delivery as it is drawn.
+func (p *Plane) scanTag(ti int, tg *tag.Tag, now time.Time) {
+	tagPos := tg.Pos(now)
 	beacons := tg.ExpectedBeacons(p.cfg.ScanInterval)
 	// Count whole beacons and carry the fractional mass to the next tick,
 	// so e.g. 22.5 expected beacons per window accounts 45 over two ticks
@@ -327,13 +171,13 @@ func (p *Plane) scanTag(ws *scanScratch, ti int, tg *tag.Tag, now time.Time, tag
 	p.beaconRem[ti] = frac
 	tg.CountBeacons(uint64(whole))
 
-	ws.buf = ws.search.NearIndices(tagPos, now, p.cfg.MaxRangeM, ws.buf[:0])
-	if len(ws.buf) == 0 {
+	p.buf = p.fleet.NearIndices(tagPos, now, p.cfg.MaxRangeM, p.buf[:0])
+	if len(p.buf) == 0 {
 		return
 	}
-	rng := ws.stream.Reseed(p.tagSeed[ti].Bytes(p.tickKey).Seed())
+	rng := p.stream.Reseed(p.tagSeed[ti].Bytes(p.tickKey).Seed())
 	elig := p.elig[ti]
-	for _, di := range ws.buf {
+	for _, di := range p.buf {
 		dev := p.devs[di]
 		if !dev.Reports(tg.Profile.Vendor, p.cfg.CrossEcosystem) {
 			continue
@@ -378,23 +222,12 @@ func (p *Plane) scanTag(ws *scanScratch, ti int, tg *tag.Tag, now time.Time, tag
 		if svc == nil {
 			continue
 		}
-		emit(ti, pendingReport{rep: rep, svc: svc})
+		p.schedule(rep, svc)
 	}
 }
 
-// deliverNow schedules the report's delivery immediately (serial path).
-func (p *Plane) deliverNow(ti int, pr pendingReport) { p.schedule(pr) }
-
-// deferDelivery queues the report for the tag-order replay. Workers
-// write disjoint pending slots (each tag belongs to exactly one region
-// per tick), so no locking is needed.
-func (p *Plane) deferDelivery(ti int, pr pendingReport) {
-	p.pending[ti] = append(p.pending[ti], pr)
-}
-
 // schedule registers the report's cloud delivery with the engine.
-func (p *Plane) schedule(pr pendingReport) {
-	rep, svc := pr.rep, pr.svc
+func (p *Plane) schedule(rep trace.Report, svc *cloud.Service) {
 	p.engine.Schedule(rep.T, func() {
 		if svc.Ingest(rep) {
 			p.delivered.Add(1)

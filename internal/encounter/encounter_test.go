@@ -268,7 +268,7 @@ func TestScanStream(t *testing.T) {
 	} {
 		for i, tg := range p.tags {
 			key := []byte(instant.UTC().Format(time.RFC3339Nano))
-			fast := p.scratch[0].stream.Reseed(p.tagSeed[i].Bytes(key).Seed())
+			fast := p.stream.Reseed(p.tagSeed[i].Bytes(key).Seed())
 			legacy := p.engine.RNG(scanStreamName(tg.ID, instant))
 			for d := 0; d < 16; d++ {
 				if f, l := fast.Float64(), legacy.Float64(); f != l {

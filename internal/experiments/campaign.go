@@ -32,9 +32,11 @@ type Options struct {
 	// replicates, figure computations) run concurrently: 0 means one per
 	// CPU, 1 is fully sequential. Results are identical for any value.
 	Workers int
-	// ScanWorkers region-shards each world's scan tick (0 = serial).
-	// Results are identical for any value — see scenario.WildConfig.
-	ScanWorkers int
+	// SpillTruth spills NewCampaign's ground truth to disk-backed
+	// columnar temp files read through a cursor instead of keeping it
+	// resident: memory stays bounded, but the raw-fix consumers
+	// (Figures 6-7 and the headline episode picker) see empty truth.
+	SpillTruth bool
 }
 
 // DefaultOptions is sized to regenerate every figure in tens of seconds.
@@ -50,7 +52,6 @@ func (o Options) wildConfig() scenario.WildConfig {
 		DevicesPerCity: o.DevicesPerCity,
 		FleetScale:     o.FleetScale,
 		Workers:        o.Workers,
-		ScanWorkers:    o.ScanWorkers,
 	}
 }
 
@@ -83,33 +84,23 @@ type Campaign struct {
 
 // NewCampaign runs the campaign and prepares the shared analysis state.
 //
-// By default the campaign streams: scan ticks publish report batches
-// through the pipeline while the simulation runs, and the analysis
-// state grows incrementally from distinct crawl records — the raw crawl
-// log never materializes. pipeline.SetStreaming(false) reverts to the
-// historical batch path (simulate everything, then analyze), which the
-// equivalence tests pin byte-identical figure for figure.
+// The campaign streams: scan ticks publish report batches through the
+// pipeline while the simulation runs, and one CampaignAccumulator grows
+// the analysis state incrementally from distinct crawl records while the
+// country engines are still running — the raw crawl log never
+// materializes. Country datasets are reattached from the accumulator's
+// per-world data (ground truth in full, crawls as distinct reports), so
+// the per-country figures (6, 7) read exactly what they would have
+// computed from the raw logs — every analysis consumer dedups anyway.
+// The equivalence tests pin this figure for figure against
+// newCampaignFromResult over a batch-simulated campaign.
 func NewCampaign(opts Options) *Campaign {
 	if opts.Scale <= 0 {
 		opts.Scale = 1
 	}
-	if pipeline.Streaming() {
-		return newCampaignStreamed(opts)
-	}
-	return newCampaignFromResult(opts, scenario.RunWild(opts.wildConfig()))
-}
-
-// newCampaignStreamed runs the campaign through the streaming pipeline:
-// one CampaignAccumulator consumes the merged world streams while the
-// country engines are still running, and the Campaign assembles from
-// its state. Country datasets are reattached from the accumulator's
-// per-world data (ground truth in full, crawls as distinct reports), so
-// the per-country figures (6, 7) read exactly what they would have
-// computed from the raw logs — every analysis consumer dedups anyway.
-func newCampaignStreamed(opts Options) *Campaign {
 	cfg := opts.wildConfig()
 	jobs := scenario.PlanWild(cfg)
-	acc := pipeline.NewCampaignAccumulator(len(jobs), opts.Workers)
+	acc := pipeline.NewCampaignAccumulator(len(jobs), opts.Workers, opts.SpillTruth)
 	pl := pipeline.New(len(jobs), pipeline.Config{}, acc)
 	cfg.Stream = pl
 	res := scenario.RunWild(cfg)
@@ -139,8 +130,9 @@ func newCampaignStreamed(opts Options) *Campaign {
 }
 
 // newCampaignFromResult prepares the shared analysis state over an
-// already-simulated campaign (NewCampaign's second half, reused by the
-// replicate fan-out so simulation and analysis parallelize separately).
+// already-simulated campaign: the replicate fan-out's path, so
+// simulation and analysis parallelize separately, and the batch oracle
+// the streaming equivalence tests compare NewCampaign against.
 func newCampaignFromResult(opts Options, res *scenario.WildResult) *Campaign {
 	merged := res.MergedDataset()
 

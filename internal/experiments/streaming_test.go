@@ -7,32 +7,31 @@ import (
 	"strings"
 	"testing"
 
-	"tagsim/internal/analysis"
 	"tagsim/internal/cloud"
 	"tagsim/internal/pipeline"
 	"tagsim/internal/scenario"
 	"tagsim/internal/trace"
 )
 
-// withStreaming runs fn with the streaming toggle forced to on/off.
-func withStreaming(t *testing.T, enabled bool, fn func()) {
-	t.Helper()
-	was := pipeline.SetStreaming(enabled)
-	defer pipeline.SetStreaming(was)
-	fn()
+// batchCampaign is the oracle NewCampaign's streamed path is pinned
+// to: simulate every world to completion, then analyze the retained
+// datasets (the path CampaignReplicates runs).
+func batchCampaign(opts Options) *Campaign {
+	return newCampaignFromResult(opts, scenario.RunWild(opts.wildConfig()))
 }
 
-// TestStreamingCampaignEquivalence is the PR's acceptance gate: a
-// campaign streamed through the pipeline must render every table and
-// figure byte-identically to the batch path, at any worker count.
+// TestStreamingCampaignEquivalence is the streaming pipeline's
+// acceptance gate: a campaign streamed through the pipeline must render
+// every table and figure byte-identically to the batch oracle, at any
+// worker count.
 func TestStreamingCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiments are slow")
 	}
-	var batch, streamed1, streamed8 string
-	withStreaming(t, false, func() { batch = renderWildFigures(NewCampaign(tinyOpts(53, 0))) })
-	withStreaming(t, true, func() { streamed1 = renderWildFigures(NewCampaign(tinyOpts(53, 1))) })
-	withStreaming(t, true, func() { streamed8 = renderWildFigures(NewCampaign(tinyOpts(53, 8))) })
+	t.Parallel()
+	batch := renderWildFigures(batchCampaign(tinyOpts(53, 0)))
+	streamed1 := renderWildFigures(NewCampaign(tinyOpts(53, 1)))
+	streamed8 := renderWildFigures(NewCampaign(tinyOpts(53, 8)))
 	if streamed1 != batch {
 		t.Errorf("streamed figures diverged from batch path:\nstreamed:\n%s\nbatch:\n%s", streamed1, batch)
 	}
@@ -42,15 +41,15 @@ func TestStreamingCampaignEquivalence(t *testing.T) {
 }
 
 // TestStreamingCampaignStateEquivalence checks the campaign's shared
-// analysis state — not just the rendered figures — between the two
-// paths: truth index size, home filter, homes, span.
+// analysis state — not just the rendered figures — between the streamed
+// path and the batch oracle: truth index size, home filter, homes, span.
 func TestStreamingCampaignStateEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiments are slow")
 	}
-	var batch, streamed *Campaign
-	withStreaming(t, false, func() { batch = NewCampaign(tinyOpts(59, 0)) })
-	withStreaming(t, true, func() { streamed = NewCampaign(tinyOpts(59, 0)) })
+	t.Parallel()
+	batch := batchCampaign(tinyOpts(59, 0))
+	streamed := NewCampaign(tinyOpts(59, 0))
 	if got, want := streamed.Truth.Len(), batch.Truth.Len(); got != want {
 		t.Errorf("truth fixes: streamed %d, batch %d", got, want)
 	}
@@ -104,8 +103,13 @@ func TestStreamingMemoryFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiments are slow")
 	}
-	resident := func(enabled bool) (c *Campaign, heap uint64) {
-		withStreaming(t, enabled, func() { c = NewCampaign(Options{Seed: 71, Scale: 0.1, DevicesPerCity: 200}) })
+	resident := func(streamed bool) (c *Campaign, heap uint64) {
+		opts := Options{Seed: 71, Scale: 0.1, DevicesPerCity: 200}
+		if streamed {
+			c = NewCampaign(opts)
+		} else {
+			c = batchCampaign(opts)
+		}
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -135,14 +139,6 @@ func TestStreamingMemoryFootprint(t *testing.T) {
 	runtime.KeepAlive(streamC)
 }
 
-// withResidentTruth runs fn with the truth-spill toggle forced.
-func withResidentTruth(t *testing.T, resident bool, fn func()) {
-	t.Helper()
-	was := analysis.SetResidentTruth(resident)
-	defer analysis.SetResidentTruth(was)
-	fn()
-}
-
 // renderSpillSafeFigures renders the wild-campaign artifacts that read
 // ground truth only through the TruthIndex/Index query surface (At,
 // coverage, speed) — everything except the raw-fix consumers (Figures
@@ -168,11 +164,11 @@ func TestTruthSpillCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiments are slow")
 	}
-	var resident, spilled *Campaign
-	withStreaming(t, true, func() {
-		withResidentTruth(t, true, func() { resident = NewCampaign(tinyOpts(67, 0)) })
-		withResidentTruth(t, false, func() { spilled = NewCampaign(tinyOpts(67, 0)) })
-	})
+	t.Parallel()
+	resident := NewCampaign(tinyOpts(67, 0))
+	spillOpts := tinyOpts(67, 0)
+	spillOpts.SpillTruth = true
+	spilled := NewCampaign(spillOpts)
 	defer spilled.Truth.Close()
 
 	if got, want := spilled.Truth.Len(), resident.Truth.Len(); got != want {
@@ -207,22 +203,18 @@ func TestTruthSpillMemoryFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiments are slow")
 	}
-	build := func(residentTruth bool) (c *Campaign, heap uint64) {
-		withStreaming(t, true, func() {
-			withResidentTruth(t, residentTruth, func() {
-				c = NewCampaign(Options{Seed: 73, Scale: 0.1, DevicesPerCity: 200})
-			})
-		})
+	build := func(spill bool) (c *Campaign, heap uint64) {
+		c = NewCampaign(Options{Seed: 73, Scale: 0.1, DevicesPerCity: 200, SpillTruth: spill})
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return c, ms.HeapAlloc
 	}
-	residentC, residentHeap := build(true)
+	residentC, residentHeap := build(false)
 	fixes := residentC.Truth.Len()
 	residentC = nil
 	runtime.GC()
-	spilledC, spilledHeap := build(false)
+	spilledC, spilledHeap := build(true)
 	defer spilledC.Truth.Close()
 	if got := spilledC.Truth.Len(); got != fixes {
 		t.Errorf("spilled campaign indexed %d fixes, resident %d", got, fixes)

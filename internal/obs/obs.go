@@ -35,8 +35,8 @@ import (
 )
 
 // disabled gates every metric update. Default off: metrics are always
-// on, and SetEnabled(false) is the benchmark escape hatch mirroring
-// store.SetLockedReads and cloud.SetHotCache.
+// on, and SetEnabled(false) is the runtime kill switch the overhead
+// benchmarks toggle.
 var disabled atomic.Bool
 
 // SetEnabled toggles metric collection (default on). Disabled, every

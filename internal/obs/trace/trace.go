@@ -43,9 +43,9 @@ import (
 )
 
 // disabled gates every tracing call. Default off: tracing is always
-// on, and SetTracing(false) is the escape hatch mirroring
-// obs.SetEnabled and cloud.SetHotCache (BENCH_trace.json records both
-// sides on the cached read path).
+// on, and SetTracing(false) is the runtime kill switch mirroring
+// obs.SetEnabled (BENCH_trace.json records both sides on the cached
+// read path).
 var disabled atomic.Bool
 
 // SetTracing toggles span collection (default on). Disabled, Begin

@@ -72,7 +72,7 @@ type CampaignAccumulator struct {
 	worlds   []*worldAcc
 	cur      int // world currently streaming (merge delivers in order)
 	camp     map[trace.Vendor]*vendorAcc
-	spilling bool // ground truth spills to disk (analysis.SetResidentTruth(false))
+	spilling bool // ground truth spills to disk (see NewCampaignAccumulator)
 	state    *CampaignState
 }
 
@@ -90,10 +90,10 @@ func (va *vendorAcc) add(rec trace.CrawlRecord) {
 	}
 }
 
-// worldAcc is one world's in-flight accumulation. In spill mode (see
-// analysis.SetResidentTruth) fixes stays nil: ground truth streams to
-// an anonymous temp file through the columnar truth writer, and homes
-// are detected by the incremental detector as the fixes pass by.
+// worldAcc is one world's in-flight accumulation. In spill mode fixes
+// stays nil: ground truth streams to an anonymous temp file through the
+// columnar truth writer, and homes are detected by the incremental
+// detector as the fixes pass by.
 type worldAcc struct {
 	fixes  []trace.GroundTruth
 	spill  *truthSpillFile
@@ -153,14 +153,15 @@ func (ts *truthSpillFile) reader() (*TruthReader, error) {
 
 // NewCampaignAccumulator builds the consumer for a campaign of the
 // given world count. workers bounds the Close-time index-build fan-out
-// (0 = one per CPU). The resident-vs-spill mode for ground truth is
-// sampled once here from analysis.ResidentTruth, so a mid-campaign
-// toggle cannot mix backends.
-func NewCampaignAccumulator(worlds, workers int) *CampaignAccumulator {
+// (0 = one per CPU). spillTruth routes ground truth through
+// disk-backed columnar logs read through a cursor instead of resident
+// fix slices: memory stays bounded, but raw-fix consumers (the headline
+// episode picker, the hexagon figures) see empty truth.
+func NewCampaignAccumulator(worlds, workers int, spillTruth bool) *CampaignAccumulator {
 	a := &CampaignAccumulator{
 		workers:  workers,
 		camp:     make(map[trace.Vendor]*vendorAcc),
-		spilling: !analysis.ResidentTruth(),
+		spilling: spillTruth,
 	}
 	for i := 0; i < worlds; i++ {
 		a.worlds = append(a.worlds, &worldAcc{crawls: make(map[trace.Vendor]*vendorAcc)})

@@ -25,7 +25,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			}
 			cs := []Consumer{NewStoreIngester(services)}
 			if consumers == "store+sink+acc" {
-				cs = append(cs, NewReportSink(io.Discard, 0), NewCampaignAccumulator(nWorlds, 1))
+				cs = append(cs, NewReportSink(io.Discard, 0), NewCampaignAccumulator(nWorlds, 1, false))
 			}
 			// Pre-fabricate the per-world report sequences so the
 			// benchmark clocks the pipeline, not the fixture.

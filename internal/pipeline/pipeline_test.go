@@ -273,7 +273,7 @@ func TestStoreIngesterMatchesDirectRestore(t *testing.T) {
 // wide with dedup state carried across world boundaries.
 func TestCampaignAccumulatorDistinct(t *testing.T) {
 	const nWorlds = 3
-	acc := NewCampaignAccumulator(nWorlds, 1)
+	acc := NewCampaignAccumulator(nWorlds, 1, false)
 	p := New(nWorlds, Config{FlushEvery: 16}, acc)
 	perWorld := make([][]trace.CrawlRecord, nWorlds)
 	var all []trace.CrawlRecord
@@ -318,19 +318,5 @@ func TestCampaignAccumulatorDistinct(t *testing.T) {
 	}
 	if st.Truth == nil || st.Indexes[trace.VendorCombined] == nil {
 		t.Error("truth index and combined analysis index must be built")
-	}
-}
-
-func TestSetStreamingToggle(t *testing.T) {
-	was := SetStreaming(false)
-	if !was {
-		t.Error("streaming must default to enabled")
-	}
-	if Streaming() {
-		t.Error("disable did not stick")
-	}
-	SetStreaming(was)
-	if !Streaming() {
-		t.Error("restore did not stick")
 	}
 }

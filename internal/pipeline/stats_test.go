@@ -22,7 +22,7 @@ func TestConsumerStats(t *testing.T) {
 	c := &collector{}
 	p := New(nWorlds, Config{FlushEvery: 16},
 		NewStoreIngester(services),
-		NewCampaignAccumulator(nWorlds, 1),
+		NewCampaignAccumulator(nWorlds, 1, false),
 		NewReportSink(&buf, 0),
 		c)
 	runWorlds(p, nWorlds, nPer, 7)

@@ -112,32 +112,6 @@ func TestWildParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestWildScanWorkerDeterminism: the region-sharded scan tick is
-// output-preserving at the campaign level — a full wild run with
-// ScanWorkers set deep-equals the serial-scan run, composed with the
-// across-world Workers fan-out. (The per-report byte-identity property
-// lives in internal/encounter; this pins the scenario wiring.)
-func TestWildScanWorkerDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wild campaign is slow")
-	}
-	serial := RunWild(tinyCampaign(31, 1))
-	for _, scanWorkers := range []int{2, 8} {
-		cfg := tinyCampaign(31, 0)
-		cfg.ScanWorkers = scanWorkers
-		sharded := RunWild(cfg)
-		if !equalWild(serial, sharded) {
-			for i := range serial.Countries {
-				a, b := serial.Countries[i], sharded.Countries[i]
-				if !equalCountry(a, b) {
-					t.Errorf("scan-workers=%d: country %s diverged from the serial scan (fixes %d vs %d, apple now %d vs %d)",
-						scanWorkers, a.Spec.Code, len(a.Dataset.GroundTruth), len(b.Dataset.GroundTruth), a.AppleNow, b.AppleNow)
-				}
-			}
-		}
-	}
-}
-
 // TestWildGridEquivalence is the spatial-index refactor's headline
 // property: a full campaign on the grid-indexed, allocation-lean hot
 // path deep-equals the brute-force linear-scan path — the seed

@@ -63,14 +63,6 @@ type WildConfig struct {
 	// seed-derived RNG streams, so the output is identical for any
 	// value (see internal/runner).
 	Workers int
-	// ScanWorkers region-shards each world's scan tick across a worker
-	// pool: the fleet's spatial grid is split into contiguous row bands
-	// and each tick's per-tag scans run on pooled workers, merging back
-	// deterministically (0 or 1 = the serial scan; output is
-	// byte-identical at any value — see encounter.SetRegionSharding).
-	// This is within-world parallelism, orthogonal to Workers'
-	// across-world fan-out.
-	ScanWorkers int
 	// Stream, when set, attaches every country world to a streaming
 	// campaign pipeline sized with PlanWild's job count: accepted cloud
 	// reports, uploaded ground-truth fixes, and crawl records publish
@@ -431,7 +423,7 @@ func (j CountryJob) build() *countryWorld {
 		trace.VendorApple:   apple,
 		trace.VendorSamsung: samsung,
 	}
-	plane := encounter.New(encounter.Config{ScanWorkers: cfg.ScanWorkers}, e, fleet, []*tag.Tag{airTag, smartTag}, clouds)
+	plane := encounter.New(encounter.Config{}, e, fleet, []*tag.Tag{airTag, smartTag}, clouds)
 	plane.Attach(start)
 
 	// Vantage point and crawlers.
@@ -488,7 +480,6 @@ func (j CountryJob) build() *countryWorld {
 func (w *countryWorld) run() CountryResult {
 	w.e.RunUntil(w.end)
 	w.vp.Flush(w.end) // deliver whatever is still buffered
-	w.plane.Close()   // park the region-scan workers, if any
 	if w.em != nil {
 		w.em.Close()
 	}

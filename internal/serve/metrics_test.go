@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"tagsim/internal/cloud"
 	"tagsim/internal/obs"
 )
 
@@ -18,8 +17,6 @@ import (
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := fixture()
 	defer ts.Close()
-	was := cloud.SetHotCache(true)
-	defer cloud.SetHotCache(was)
 
 	for i := 0; i < 3; i++ {
 		resp, err := http.Get(ts.URL + "/v1/lastknown?tag=airtag-1")
@@ -105,8 +102,6 @@ func TestDebugVarsEndpoint(t *testing.T) {
 func TestStatsCarriesCacheCounters(t *testing.T) {
 	_, ts := fixture()
 	defer ts.Close()
-	was := cloud.SetHotCache(true)
-	defer cloud.SetHotCache(was)
 
 	for i := 0; i < 4; i++ {
 		resp, err := http.Get(ts.URL + "/v1/lastknown?tag=airtag-1")

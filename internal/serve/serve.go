@@ -14,16 +14,17 @@
 // harness models: the store reads underneath are lock-free (epoch
 // views, see internal/store), /v1/lastknown and /v1/track are answered
 // from the bounded hot-tag cache whenever the backing shards' epochs
-// haven't moved (see cloud.HotCache; cloud.SetHotCache is the escape
-// hatch), query parameters are parsed in one pass over the raw query
-// string instead of materializing a url.Values map per request, JSON
-// responses encode into pooled buffers, and capped history queries copy
-// only the newest N reports out of the rings.
+// haven't moved (see cloud.HotCache), query parameters are parsed in
+// one pass over the raw query string instead of materializing a
+// url.Values map per request, JSON responses encode into pooled
+// buffers, and capped history queries copy only the newest N reports
+// out of the rings.
 package serve
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -442,6 +443,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxReportBytes bounds a POST /v1/report body. One report encodes to
+// a few hundred bytes, so 64 KiB is generous headroom, while a client
+// streaming an unbounded body costs the server at most this much to
+// refuse with 413.
+const maxReportBytes = 64 << 10
+
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	// The vendor field is decoded through a pointer so an absent key is
 	// a 400, not a silent fall-through to the zero vendor (Apple).
@@ -449,7 +456,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		trace.Report
 		Vendor *trace.Vendor `json:"vendor"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReportBytes)).Decode(&raw); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "report body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "bad report body: %v", err)
 		return
 	}

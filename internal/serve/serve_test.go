@@ -194,6 +194,52 @@ func TestReportIngestEndpoint(t *testing.T) {
 	}
 }
 
+// TestReportBodyLimit: a POST body past maxReportBytes is refused with
+// 413 and never reaches a store, while a body just under the limit is
+// still decoded and ingested.
+func TestReportBodyLimit(t *testing.T) {
+	services, ts := fixture()
+	defer ts.Close()
+	accepted := func() (n uint64) {
+		for _, svc := range services {
+			a, _ := svc.Stats()
+			n += a
+		}
+		return n
+	}
+	post := func(tagID string) int {
+		body := fmt.Sprintf(`{"tag_id":%q,"vendor":"Apple","t":"2022-03-07T12:00:00Z"}`, tagID)
+		resp, err := http.Post(ts.URL+"/v1/report", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusRequestEntityTooLarge {
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+				t.Errorf("413 without a JSON error body (err %v)", err)
+			}
+		}
+		return resp.StatusCode
+	}
+
+	before := accepted()
+	if code := post(strings.Repeat("x", maxReportBytes)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized report: code %d, want 413", code)
+	}
+	if got := accepted(); got != before {
+		t.Errorf("oversized report changed the accepted count: %d -> %d", before, got)
+	}
+	if code := post(strings.Repeat("y", maxReportBytes-256)); code != http.StatusOK {
+		t.Errorf("report under the limit: code %d, want 200", code)
+	}
+	if got := accepted(); got != before+1 {
+		t.Errorf("report under the limit: accepted %d -> %d, want one more", before, got)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := fixture()
 	defer ts.Close()

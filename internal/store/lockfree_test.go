@@ -12,14 +12,52 @@ import (
 	"tagsim/internal/trace"
 )
 
-// lockModes runs f once per read path, restoring the global toggle.
-func lockModes(t *testing.T, f func(t *testing.T, locked bool)) {
-	t.Helper()
-	for _, locked := range []bool{false, true} {
-		was := SetLockedReads(locked)
-		f(t, locked)
-		SetLockedReads(was)
+// reader is the read surface the lock-free store and its locked oracle
+// share.
+type reader interface {
+	Known(tagID string) bool
+	LastSeen(tagID string) (geo.LatLon, time.Time, bool)
+	History(tagID string) []trace.Report
+	RecentHistory(tagID string, limit int) []trace.Report
+}
+
+// lockedReads is the oracle for the lock-free read path: the historical
+// mutex-guarded reads, served from the writer-side tag state under the
+// shard lock instead of from the published epoch views.
+type lockedReads struct{ s *Store }
+
+func (l lockedReads) Known(tagID string) bool {
+	sh := l.s.shardFor(tagID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.getLocked(tagID) != nil
+}
+
+func (l lockedReads) LastSeen(tagID string) (pos geo.LatLon, at time.Time, ok bool) {
+	sh := l.s.shardFor(tagID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if st := sh.getLocked(tagID); st != nil && st.hasLast {
+		return st.lastPos, st.lastAt, true
 	}
+	return pos, at, false
+}
+
+func (l lockedReads) History(tagID string) []trace.Report { return l.RecentHistory(tagID, -1) }
+
+func (l lockedReads) RecentHistory(tagID string, limit int) []trace.Report {
+	sh := l.s.shardFor(tagID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if st := sh.getLocked(tagID); st != nil {
+		return l.s.visibleHistory(tagID, st.persisted, st.hist, st.histAt, st.lastAt, limit, nil)
+	}
+	return nil
+}
+
+// readPaths names a store's lock-free read path and its locked oracle.
+func readPaths(s *Store) map[string]reader {
+	return map[string]reader{"lockfree": s, "locked": lockedReads{s}}
 }
 
 // fillStore ingests a deterministic mixed sequence: rate-capped ingests
@@ -48,7 +86,7 @@ var base = time.Date(2022, 3, 7, 9, 0, 0, 0, time.UTC)
 
 // readAll captures every read-path answer for every tag: the
 // equivalence surface the locked and lock-free paths must agree on.
-func readAll(s *Store, tags []string) map[string]any {
+func readAll(s reader, tags []string) map[string]any {
 	out := map[string]any{}
 	for _, id := range tags {
 		pos, at, ok := s.LastSeen(id)
@@ -66,6 +104,7 @@ func readAll(s *Store, tags []string) map[string]any {
 // query identically to the historical locked path, across shard counts,
 // after a mixed ingest/restore/register sequence.
 func TestLockedReadEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 4, 16} {
 		s := New(shards)
 		s.MinUpdateInterval = 2 * time.Minute
@@ -74,15 +113,12 @@ func TestLockedReadEquivalence(t *testing.T) {
 		fillStore(s, 40)
 		tags := append(s.TagIDs(), "never-seen")
 
-		var views []map[string]any
-		lockModes(t, func(t *testing.T, locked bool) {
-			views = append(views, readAll(s, tags))
-		})
-		if !reflect.DeepEqual(views[0], views[1]) {
+		lockfree, locked := readAll(s, tags), readAll(lockedReads{s}, tags)
+		if !reflect.DeepEqual(lockfree, locked) {
 			t.Errorf("shards=%d: lock-free and locked reads disagree", shards)
-			for k, v := range views[0] {
-				if !reflect.DeepEqual(v, views[1][k]) {
-					t.Errorf("  %s: lockfree=%v locked=%v", k, v, views[1][k])
+			for k, v := range lockfree {
+				if !reflect.DeepEqual(v, locked[k]) {
+					t.Errorf("  %s: lockfree=%v locked=%v", k, v, locked[k])
 				}
 			}
 		}
@@ -92,42 +128,45 @@ func TestLockedReadEquivalence(t *testing.T) {
 // TestRecentHistoryLimits pins the pushdown semantics against the full
 // History copy, through the ring-wrap boundary.
 func TestRecentHistoryLimits(t *testing.T) {
-	lockModes(t, func(t *testing.T, locked bool) {
-		s := New(4)
-		s.KeepHistory = true
-		s.HistoryLimit = 5
-		id := "ring-tag"
-		if got := s.RecentHistory(id, 3); got != nil {
-			t.Errorf("locked=%v: unknown tag history = %v, want nil", locked, got)
+	t.Parallel()
+	s := New(4)
+	s.KeepHistory = true
+	s.HistoryLimit = 5
+	id := "ring-tag"
+	for path, r := range readPaths(s) {
+		if got := r.RecentHistory(id, 3); got != nil {
+			t.Errorf("%s: unknown tag history = %v, want nil", path, got)
 		}
-		for k := 0; k < 9; k++ { // wraps the 5-ring almost twice
-			at := base.Add(time.Duration(k) * time.Minute)
-			s.Ingest(trace.Report{T: at, TagID: id, Vendor: trace.VendorApple,
-				Pos: geo.LatLon{Lat: float64(k)}})
-			full := s.History(id)
+	}
+	for k := 0; k < 9; k++ { // wraps the 5-ring almost twice
+		at := base.Add(time.Duration(k) * time.Minute)
+		s.Ingest(trace.Report{T: at, TagID: id, Vendor: trace.VendorApple,
+			Pos: geo.LatLon{Lat: float64(k)}})
+		for path, r := range readPaths(s) {
+			full := r.History(id)
 			for _, limit := range []int{0, 1, 2, 5, 7, -1} {
-				got := s.RecentHistory(id, limit)
+				got := r.RecentHistory(id, limit)
 				want := full
 				if limit >= 0 && limit < len(full) {
 					want = full[len(full)-limit:]
 				}
 				if len(got) != len(want) {
-					t.Fatalf("locked=%v k=%d limit=%d: %d reports, want %d", locked, k, limit, len(got), len(want))
+					t.Fatalf("%s k=%d limit=%d: %d reports, want %d", path, k, limit, len(got), len(want))
 				}
 				for i := range got {
 					if !got[i].T.Equal(want[i].T) || got[i].Pos != want[i].Pos {
-						t.Fatalf("locked=%v k=%d limit=%d: report %d = %+v, want %+v", locked, k, limit, i, got[i], want[i])
+						t.Fatalf("%s k=%d limit=%d: report %d = %+v, want %+v", path, k, limit, i, got[i], want[i])
 					}
 				}
 			}
 			// limit 0 with history present: empty but non-nil, so the
 			// query layer can keep "no reports retained" apart from
 			// "tag has no history at all".
-			if got := s.RecentHistory(id, 0); got == nil {
-				t.Fatalf("locked=%v: limit 0 with history = nil, want empty", locked)
+			if got := r.RecentHistory(id, 0); got == nil {
+				t.Fatalf("%s: limit 0 with history = nil, want empty", path)
 			}
 		}
-	})
+	}
 }
 
 // TestTagEpochBumps: every observable state change moves the shard
@@ -167,11 +206,13 @@ func TestTagEpochBumps(t *testing.T) {
 	}
 }
 
-// TestLockFreeReadsRaced races lock-free readers against live Ingest,
-// Restore, and Snapshot: last-seen must never move backward, history
-// must only grow (within the ring bound), and after the writers drain,
-// locked and lock-free reads must agree exactly. Run under -race in CI.
+// TestLockFreeReadsRaced races lock-free readers, and locked-oracle
+// readers beside them, against live Ingest, Restore, and Snapshot:
+// last-seen must never move backward, history must only grow (within
+// the ring bound), and after the writers drain, locked and lock-free
+// reads must agree exactly. Run under -race in CI.
 func TestLockFreeReadsRaced(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 4, 16} {
 		s := New(shards)
 		s.MinUpdateInterval = time.Minute
@@ -222,7 +263,11 @@ func TestLockFreeReadsRaced(t *testing.T) {
 		}()
 
 		errs := make(chan string, 8)
-		for r := 0; r < 4; r++ { // lock-free readers
+		for r := 0; r < 6; r++ { // four lock-free readers, two locked
+			var rd reader = s
+			if r >= 4 {
+				rd = lockedReads{s}
+			}
 			rg.Add(1)
 			go func(r int) {
 				defer rg.Done()
@@ -230,14 +275,14 @@ func TestLockFreeReadsRaced(t *testing.T) {
 				histLen := map[string]int{}
 				for !stop.Load() {
 					id := tags[r%len(tags)]
-					if _, at, ok := s.LastSeen(id); ok {
+					if _, at, ok := rd.LastSeen(id); ok {
 						if at.Before(lastAt[id]) {
 							errs <- fmt.Sprintf("last-seen of %s went backward: %v -> %v", id, lastAt[id], at)
 							return
 						}
 						lastAt[id] = at
 					}
-					if n := len(s.RecentHistory(id, -1)); n < histLen[id] && histLen[id] < s.HistoryLimit {
+					if n := len(rd.RecentHistory(id, -1)); n < histLen[id] && histLen[id] < s.HistoryLimit {
 						errs <- fmt.Sprintf("history of %s shrank below the ring bound: %d -> %d", id, histLen[id], n)
 						return
 					} else {
@@ -256,11 +301,7 @@ func TestLockFreeReadsRaced(t *testing.T) {
 		}
 
 		// Quiesced: the two read paths must agree exactly.
-		var views []map[string]any
-		lockModes(t, func(t *testing.T, locked bool) {
-			views = append(views, readAll(s, tags))
-		})
-		if !reflect.DeepEqual(views[0], views[1]) {
+		if !reflect.DeepEqual(readAll(s, tags), readAll(lockedReads{s}, tags)) {
 			t.Errorf("shards=%d: read paths disagree after the race", shards)
 		}
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -40,6 +39,21 @@ func openTiered(t *testing.T, shards int, cfg Tiering) *Store {
 	return s
 }
 
+// openMemory opens cfg's policy with no directory: the in-memory
+// reference every tiered-vs-memory equivalence compares against.
+func openMemory(t *testing.T, shards int, cfg Tiering) *Store {
+	t.Helper()
+	cfg.Dir = ""
+	s, err := Open(shards, cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if s.Tiered() {
+		t.Fatal("Open returned a tiered store without a directory")
+	}
+	return s
+}
+
 // closeStore closes a store that is expected to have no persistence
 // errors.
 func closeStore(t *testing.T, s *Store) {
@@ -56,8 +70,9 @@ func closeStore(t *testing.T, s *Store) {
 // like the in-memory store for the same ingest sequence — across shard
 // counts, both read paths, with the data split across many segments.
 func TestTieredEquivalence(t *testing.T) {
+	t.Parallel()
 	reports := stream(7, 3000)
-	mem := newCloudlike(4)
+	mem := openMemory(t, 4, tieredCfg(""))
 	for _, r := range reports {
 		mem.Ingest(r)
 	}
@@ -74,18 +89,18 @@ func TestTieredEquivalence(t *testing.T) {
 			t.Fatalf("shards=%d: thresholds never tripped (flushes=%d segments=%d) — test is not exercising disk",
 				shards, st.Flushes, st.Segments)
 		}
-		lockModes(t, func(t *testing.T, locked bool) {
-			memViews := readAll(mem, tags)
-			tierViews := readAll(s, tags)
+		memViews := readAll(mem, tags)
+		for path, r := range readPaths(s) {
+			tierViews := readAll(r, tags)
 			if !reflect.DeepEqual(tierViews, memViews) {
-				t.Errorf("shards=%d locked=%v: tiered reads diverge from in-memory", shards, locked)
+				t.Errorf("shards=%d %s: tiered reads diverge from in-memory", shards, path)
 				for k, v := range memViews {
 					if !reflect.DeepEqual(v, tierViews[k]) {
 						t.Errorf("  %s: mem=%v tiered=%v", k, v, tierViews[k])
 					}
 				}
 			}
-		})
+		}
 		if got := s.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: tiered snapshot diverged from in-memory reference", shards)
 		}
@@ -97,6 +112,7 @@ func TestTieredEquivalence(t *testing.T) {
 // sequence with a keep-last retention bound: the tiered store's
 // read-time cap over (segments + ring) must equal the in-memory ring.
 func TestTieredEquivalenceMixed(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 4} {
 		mem := New(shards)
 		mem.MinUpdateInterval = 2 * time.Minute
@@ -112,11 +128,11 @@ func TestTieredEquivalenceMixed(t *testing.T) {
 		fillStore(s, 40)
 
 		tags := append(mem.TagIDs(), "never-seen")
-		lockModes(t, func(t *testing.T, locked bool) {
-			if !reflect.DeepEqual(readAll(s, tags), readAll(mem, tags)) {
-				t.Errorf("shards=%d locked=%v: tiered keep-last reads diverge from HistoryLimit ring", shards, locked)
+		for path, r := range readPaths(s) {
+			if !reflect.DeepEqual(readAll(r, tags), readAll(mem, tags)) {
+				t.Errorf("shards=%d %s: tiered keep-last reads diverge from HistoryLimit ring", shards, path)
 			}
-		})
+		}
 		if got, want := s.Snapshot(), mem.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: snapshots diverge", shards)
 		}
@@ -127,53 +143,47 @@ func TestTieredEquivalenceMixed(t *testing.T) {
 // TestTieredRetentionWindowEquivalence: a keep-window policy trims the
 // same rows whether the history lives in a ring or on disk.
 func TestTieredRetentionWindowEquivalence(t *testing.T) {
-	ret := Retention{KeepWindow: 45 * time.Minute}
+	t.Parallel()
 	reports := stream(5, 1200)
+	cfg := tieredCfg(t.TempDir())
+	cfg.MemtableBytes = 4 << 10
+	cfg.Retention = Retention{KeepWindow: 45 * time.Minute}
 
-	mem := newCloudlike(4)
-	mem.Retention = ret
+	mem := openMemory(t, 4, cfg)
 	for _, r := range reports {
 		mem.Ingest(r)
 	}
-
-	cfg := tieredCfg(t.TempDir())
-	cfg.MemtableBytes = 4 << 10
-	cfg.Retention = ret
 	s := openTiered(t, 4, cfg)
 	for _, r := range reports {
 		s.Ingest(r)
 	}
 
 	tags := append(mem.TagIDs(), "never-seen")
-	lockModes(t, func(t *testing.T, locked bool) {
-		if !reflect.DeepEqual(readAll(s, tags), readAll(mem, tags)) {
-			t.Errorf("locked=%v: keep-window reads diverge between tiered and in-memory", locked)
+	for path, r := range readPaths(s) {
+		if !reflect.DeepEqual(readAll(r, tags), readAll(mem, tags)) {
+			t.Errorf("%s: keep-window reads diverge between tiered and in-memory", path)
 		}
-	})
+	}
 	if got, want := s.Snapshot(), mem.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Error("keep-window snapshots diverge")
 	}
 	closeStore(t, s)
 }
 
-// TestSetTieredEscapeHatch: with the global toggle off, Open ignores
-// its directory and hands back the historical in-memory engine.
-func TestSetTieredEscapeHatch(t *testing.T) {
-	was := SetTiered(false)
-	defer SetTiered(was)
-	dir := t.TempDir()
-	s, err := Open(4, tieredCfg(dir))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if s.Tiered() {
-		t.Fatal("SetTiered(false): Open must return an in-memory store")
-	}
+// TestOpenWithoutDirIsInMemory: with no directory, Open hands back the
+// in-memory engine carrying the same policy, and the persistence calls
+// are no-ops.
+func TestOpenWithoutDirIsInMemory(t *testing.T) {
+	t.Parallel()
+	s := openMemory(t, 4, tieredCfg(""))
 	if st := s.TierStats(); st.Enabled {
 		t.Error("in-memory store reports Enabled tier stats")
 	}
 	if !s.Ingest(report(t0, "tag", pos)) || len(s.History("tag")) != 1 {
-		t.Error("escape-hatch store must still ingest and serve")
+		t.Error("in-memory store must still ingest and serve")
+	}
+	if s.MinUpdateInterval != 192*time.Second || !s.KeepHistory {
+		t.Error("in-memory store dropped the Tiering policy")
 	}
 	if err := s.Flush(); err != nil {
 		t.Errorf("Flush on in-memory store: %v", err)
@@ -183,13 +193,6 @@ func TestSetTieredEscapeHatch(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close on in-memory store: %v", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("escape-hatch store touched its directory: %v", entries)
 	}
 }
 
@@ -300,6 +303,7 @@ func TestTieredLastSeenOnlyStore(t *testing.T) {
 // the store is byte-identical to an in-memory run of the same per-tag
 // sequences. Run under -race in CI.
 func TestTieredReadsRacedUnderFlushAndCompaction(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{1, 4} {
 		cfg := Tiering{
 			Dir:               t.TempDir(),
@@ -311,10 +315,7 @@ func TestTieredReadsRacedUnderFlushAndCompaction(t *testing.T) {
 			CompactFanin:      2,
 		}
 		s := openTiered(t, shards, cfg)
-		mem := New(shards)
-		mem.MinUpdateInterval = cfg.MinUpdateInterval
-		mem.KeepHistory = true
-		mem.Retention = cfg.Retention
+		mem := openMemory(t, shards, cfg)
 
 		tags := make([]string, 16)
 		for i := range tags {
@@ -403,11 +404,11 @@ func TestTieredReadsRacedUnderFlushAndCompaction(t *testing.T) {
 		if got, want := s.Snapshot(), mem.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: tiered snapshot diverged from in-memory after the race", shards)
 		}
-		lockModes(t, func(t *testing.T, locked bool) {
-			if !reflect.DeepEqual(readAll(s, tags), readAll(mem, tags)) {
-				t.Errorf("shards=%d locked=%v: reads diverge after the race", shards, locked)
+		for path, r := range readPaths(s) {
+			if !reflect.DeepEqual(readAll(r, tags), readAll(mem, tags)) {
+				t.Errorf("shards=%d %s: reads diverge after the race", shards, path)
 			}
-		})
+		}
 		closeStore(t, s)
 	}
 }

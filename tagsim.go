@@ -206,11 +206,6 @@ var (
 	// (testing/benchmark escape hatch mirroring device.SetGridIndexing);
 	// disabled, the exported metrics run the historical per-call scans.
 	SetIndexedAnalysis = analysis.SetIndexedAnalysis
-	// SetResidentTruth toggles whether campaign ground truth stays
-	// resident (default) or spills to disk-backed columnar logs read
-	// through a bounded cursor — the continental-scale memory knob
-	// (raw-fix consumers like the hexagon figures then see empty truth).
-	SetResidentTruth = analysis.SetResidentTruth
 	// DistinctReports collapses repeated crawl observations of one
 	// underlying report (shared by the analysis plane and the crawler).
 	DistinctReports = trace.DistinctReports
@@ -324,18 +319,6 @@ var (
 	DefaultLoadMix = load.DefaultMix
 	// NewHotTagCache builds a hot-tag cache over per-vendor clouds.
 	NewHotTagCache = cloud.NewHotCache
-	// SetLockedReads reverts the store read path to the historical
-	// mutex-guarded implementation (escape hatch; default lock-free).
-	// It returns the previous setting.
-	SetLockedReads = store.SetLockedReads
-	// SetHotCache toggles the query plane's hot-tag caching (default
-	// on). It returns the previous setting.
-	SetHotCache = cloud.SetHotCache
-	// SetTieredStores toggles the persistent storage engine behind
-	// OpenReportStore (default on; off makes Open return in-memory
-	// stores — the escape hatch mirroring SetLockedReads). It returns
-	// the previous setting.
-	SetTieredStores = store.SetTiered
 	// SetMetrics toggles every obs counter, gauge, and histogram update
 	// process-wide (default on; the always-on metrics escape hatch). It
 	// returns the previous setting.
@@ -355,8 +338,8 @@ var (
 
 // Streaming campaign pipeline: the live data path from the radio plane
 // to the serving store, the analysis plane, and disk. NewCampaign
-// streams by default; SetStreaming(false) is the batch-path escape
-// hatch (equivalence-tested byte-identical, figure for figure).
+// always streams (equivalence-tested byte-identical to a batch-simulated
+// campaign, figure for figure).
 type (
 	// Pipeline coordinates world emitters, the ordered merge, and the
 	// consumer fan-out of one streaming campaign.
@@ -399,11 +382,6 @@ var (
 	ReadReportsColumnar = pipeline.ReadReports
 	// NewReportColumnarReader opens a streaming columnar log reader.
 	NewReportColumnarReader = pipeline.NewReportReader
-	// SetStreaming toggles the streaming campaign path (default on);
-	// disabling reverts NewCampaign to the historical batch path.
-	SetStreaming = pipeline.SetStreaming
-	// StreamingEnabled reports whether campaigns stream.
-	StreamingEnabled = pipeline.Streaming
 )
 
 // Tag hardware models.
