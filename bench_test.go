@@ -291,14 +291,11 @@ func regenerateAnalysisFigures(c *tagsim.Campaign) float64 {
 }
 
 // BenchmarkAnalysisSweep times the full Figure 5a-f + 8 regeneration on
-// small and large crawl logs, before and after the analysis-plane
-// index. mode=legacy routes every metric through the historical
-// per-figure rescans (tagsim.SetIndexedAnalysis escape hatch, one dedup
-// + truth resolution per sweep point); mode=indexed merges against the
-// campaign's cached per-vendor columnar indexes. Both run the worker
-// pool at one worker so ns/op compares the analysis work itself;
-// mode=indexed-parallel adds the figure fan-out across all CPUs. The
-// recorded baseline lives in BENCH_analysis.json.
+// small and large crawl logs. mode=indexed merges against the
+// campaign's cached per-vendor columnar indexes on one worker, so ns/op
+// is the analysis work itself; mode=indexed-parallel adds the figure
+// fan-out across all CPUs. The baseline lives in BENCH_analysis.json
+// (its mode=legacy rows, the per-figure rescans, are history).
 func BenchmarkAnalysisSweep(b *testing.B) {
 	// The campaigns resolve lazily inside b.Run so a filtered run (such
 	// as CI's /log=small smoke) never simulates the large shape.
@@ -310,7 +307,7 @@ func BenchmarkAnalysisSweep(b *testing.B) {
 		{"log=large", largeAnalysisCampaign},
 	}
 	for _, shape := range shapes {
-		for _, mode := range []string{"legacy", "indexed", "indexed-parallel"} {
+		for _, mode := range []string{"indexed", "indexed-parallel"} {
 			mode := mode
 			b.Run(shape.name+"/mode="+mode, func(b *testing.B) {
 				run := *shape.c(b) // shallow per-mode copy to pin the worker knob
@@ -318,10 +315,6 @@ func BenchmarkAnalysisSweep(b *testing.B) {
 					run.Options.Workers = 0
 				} else {
 					run.Options.Workers = 1
-				}
-				if mode == "legacy" {
-					was := tagsim.SetIndexedAnalysis(false)
-					defer tagsim.SetIndexedAnalysis(was)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -673,7 +666,7 @@ func BenchmarkServeRead(b *testing.B) {
 					var target tagsim.LoadTarget
 					switch path {
 					case "svc":
-						target = tagsim.NewCachedServiceTarget(services)
+						target = tagsim.NewServiceTarget(services)
 					case "http":
 						ts := httptest.NewServer(tagsim.NewQueryServer(services))
 						defer ts.Close()
@@ -746,7 +739,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				Tags: tags, Mix: tagsim.LoadReadMix(90),
 				Latency: &tagsim.LatencyHistogram{},
 			}
-			target := tagsim.NewCachedServiceTarget(services)
+			target := tagsim.NewServiceTarget(services)
 			// Warm the fresh cache and the heap before timing — the
 			// first pass over the Zipf mix is all fills, which would
 			// otherwise bill ~2x to whichever mode runs first.
@@ -796,7 +789,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		Tags: tags, Mix: tagsim.LoadReadMix(90),
 		Latency: &tagsim.LatencyHistogram{},
 	}
-	target := tagsim.NewCachedServiceTarget(services)
+	target := tagsim.NewServiceTarget(services)
 	warm := cfg
 	warm.Requests = 30000
 	for _, on := range []bool{true, false} {

@@ -285,7 +285,7 @@ func driveLoad(handler http.Handler, services map[trace.Vendor]*cloud.Service, t
 	var target load.Target
 	if direct {
 		log.Printf("load: %d workers x store surface (no HTTP)", cfg.Workers)
-		target = load.NewCachedServiceTarget(services)
+		target = load.NewServiceTarget(services)
 	} else {
 		ts := httptest.NewServer(handler)
 		defer ts.Close()

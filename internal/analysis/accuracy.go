@@ -3,7 +3,6 @@ package analysis
 import (
 	"time"
 
-	"tagsim/internal/geo"
 	"tagsim/internal/trace"
 )
 
@@ -41,45 +40,7 @@ func (r *AccuracyResult) Add(o AccuracyResult) {
 // evaluating many (bucket, radius, window) combinations over the same
 // data should build the Index once instead.
 func Accuracy(truth *TruthIndex, reports []trace.CrawlRecord, bucket time.Duration, radiusM float64, from, to time.Time) AccuracyResult {
-	if !IndexedAnalysis() {
-		return accuracyScan(truth, reports, bucket, radiusM, from, to)
-	}
 	return NewIndex(truth, reports).Accuracy(bucket, radiusM, from, to)
-}
-
-// accuracyScan is the pre-index reference implementation — the seed's
-// per-call scan, kept verbatim (mirroring device.NearBrute) as the
-// ground truth the index-backed merge is property-tested against.
-func accuracyScan(truth *TruthIndex, reports []trace.CrawlRecord, bucket time.Duration, radiusM float64, from, to time.Time) AccuracyResult {
-	if bucket <= 0 || !to.After(from) {
-		return AccuracyResult{}
-	}
-	// Index distinct reports by ReportedAt.
-	distinct := distinctByReportTime(reports)
-	var res AccuracyResult
-	ri := 0
-	for bs := from; bs.Before(to); bs = bs.Add(bucket) {
-		be := bs.Add(bucket)
-		if !truth.HasCoverage(bs, be) {
-			continue
-		}
-		res.Buckets++
-		// Advance to the first report in this bucket.
-		for ri < len(distinct) && distinct[ri].ReportedAt.Before(bs) {
-			ri++
-		}
-		for k := ri; k < len(distinct) && distinct[k].ReportedAt.Before(be); k++ {
-			pos, ok := truth.At(distinct[k].ReportedAt)
-			if !ok {
-				continue
-			}
-			if geo.Distance(pos, distinct[k].Pos) <= radiusM {
-				res.Hits++
-				break
-			}
-		}
-	}
-	return res
 }
 
 // distinctByReportTime collapses repeated crawl observations of the same
@@ -95,31 +56,7 @@ func distinctByReportTime(reports []trace.CrawlRecord) []trace.CrawlRecord {
 // sample population the paper runs its t-tests over. Days with fewer than
 // minBuckets qualifying buckets are skipped.
 func DailyAccuracy(truth *TruthIndex, reports []trace.CrawlRecord, bucket time.Duration, radiusM float64, from, to time.Time, minBuckets int) []float64 {
-	if !IndexedAnalysis() {
-		return dailyAccuracyScan(truth, reports, bucket, radiusM, from, to, minBuckets)
-	}
 	return NewIndex(truth, reports).DailyAccuracy(bucket, radiusM, from, to, minBuckets)
-}
-
-// dailyAccuracyScan is the pre-index reference implementation of
-// DailyAccuracy (per-day rescan of the raw crawl log).
-func dailyAccuracyScan(truth *TruthIndex, reports []trace.CrawlRecord, bucket time.Duration, radiusM float64, from, to time.Time, minBuckets int) []float64 {
-	if minBuckets <= 0 {
-		minBuckets = 3
-	}
-	var out []float64
-	for day := from.UTC().Truncate(24 * time.Hour); day.Before(to); day = day.Add(24 * time.Hour) {
-		dayEnd := day.Add(24 * time.Hour)
-		lo, hi := maxTime(day, from), minTime(dayEnd, to)
-		if !hi.After(lo) {
-			continue
-		}
-		res := accuracyScan(truth, reports, bucket, radiusM, lo, hi)
-		if res.Buckets >= minBuckets {
-			out = append(out, res.Pct())
-		}
-	}
-	return out
 }
 
 // BucketClassifier assigns an accuracy bucket to a class (speed class, day
@@ -129,80 +66,13 @@ type BucketClassifier func(bucketStart, bucketEnd time.Time) (class string, ok b
 // AccuracyByClass splits buckets by a classifier and tallies accuracy per
 // class — the machinery behind Figures 5d, 5e, and 5f.
 func AccuracyByClass(truth *TruthIndex, reports []trace.CrawlRecord, bucket time.Duration, radiusM float64, from, to time.Time, classify BucketClassifier) map[string]AccuracyResult {
-	if !IndexedAnalysis() {
-		return accuracyByClassScan(truth, reports, bucket, radiusM, from, to, classify)
-	}
 	return NewIndex(truth, reports).AccuracyByClass(bucket, radiusM, from, to, classify)
-}
-
-// accuracyByClassScan is the pre-index reference implementation of
-// AccuracyByClass.
-func accuracyByClassScan(truth *TruthIndex, reports []trace.CrawlRecord, bucket time.Duration, radiusM float64, from, to time.Time, classify BucketClassifier) map[string]AccuracyResult {
-	out := make(map[string]AccuracyResult)
-	if bucket <= 0 || !to.After(from) {
-		return out
-	}
-	distinct := distinctByReportTime(reports)
-	ri := 0
-	for bs := from; bs.Before(to); bs = bs.Add(bucket) {
-		be := bs.Add(bucket)
-		if !truth.HasCoverage(bs, be) {
-			continue
-		}
-		class, ok := classify(bs, be)
-		if !ok {
-			continue
-		}
-		res := out[class]
-		res.Buckets++
-		for ri < len(distinct) && distinct[ri].ReportedAt.Before(bs) {
-			ri++
-		}
-		for k := ri; k < len(distinct) && distinct[k].ReportedAt.Before(be); k++ {
-			pos, tok := truth.At(distinct[k].ReportedAt)
-			if !tok {
-				continue
-			}
-			if geo.Distance(pos, distinct[k].Pos) <= radiusM {
-				res.Hits++
-				break
-			}
-		}
-		out[class] = res
-	}
-	return out
 }
 
 // DailyAccuracyByClass produces per-day accuracy samples per class, the
 // inputs to the paper's t-tests (one mean accuracy per day per scenario).
 func DailyAccuracyByClass(truth *TruthIndex, reports []trace.CrawlRecord, bucket time.Duration, radiusM float64, from, to time.Time, classify BucketClassifier, minBuckets int) map[string][]float64 {
-	if !IndexedAnalysis() {
-		return dailyAccuracyByClassScan(truth, reports, bucket, radiusM, from, to, classify, minBuckets)
-	}
 	return NewIndex(truth, reports).DailyAccuracyByClass(bucket, radiusM, from, to, classify, minBuckets)
-}
-
-// dailyAccuracyByClassScan is the pre-index reference implementation of
-// DailyAccuracyByClass.
-func dailyAccuracyByClassScan(truth *TruthIndex, reports []trace.CrawlRecord, bucket time.Duration, radiusM float64, from, to time.Time, classify BucketClassifier, minBuckets int) map[string][]float64 {
-	if minBuckets <= 0 {
-		minBuckets = 3
-	}
-	out := make(map[string][]float64)
-	for day := from.UTC().Truncate(24 * time.Hour); day.Before(to); day = day.Add(24 * time.Hour) {
-		dayEnd := day.Add(24 * time.Hour)
-		lo, hi := maxTime(day, from), minTime(dayEnd, to)
-		if !hi.After(lo) {
-			continue
-		}
-		byClass := accuracyByClassScan(truth, reports, bucket, radiusM, lo, hi, classify)
-		for class, res := range byClass {
-			if res.Buckets >= minBuckets {
-				out[class] = append(out[class], res.Pct())
-			}
-		}
-	}
-	return out
 }
 
 func maxTime(a, b time.Time) time.Time {

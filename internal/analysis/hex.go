@@ -74,37 +74,9 @@ func DistinctCells(visits []HexVisit) []hexgrid.Cell {
 //
 // One-shot convenience over NewIndex(truth, reports).CellAccuracy: the
 // crawl log is deduped and truth-resolved once and shared by every visit
-// (the scan reference re-derived both per visit).
+// (the Scan reference re-derives both per visit).
 func CellAccuracy(truth *TruthIndex, reports []trace.CrawlRecord, visits []HexVisit, bucket time.Duration, radiusM float64) map[hexgrid.Cell]float64 {
-	if !IndexedAnalysis() {
-		return cellAccuracyScan(truth, reports, visits, bucket, radiusM)
-	}
 	return NewIndex(truth, reports).CellAccuracy(visits, bucket, radiusM)
-}
-
-// cellAccuracyScan is the pre-index reference implementation of
-// CellAccuracy (one full accuracy scan per visit).
-func cellAccuracyScan(truth *TruthIndex, reports []trace.CrawlRecord, visits []HexVisit, bucket time.Duration, radiusM float64) map[hexgrid.Cell]float64 {
-	if bucket <= 0 {
-		bucket = time.Hour
-	}
-	perCell := make(map[hexgrid.Cell]*AccuracyResult)
-	for _, v := range visits {
-		res := accuracyScan(truth, reports, bucket, radiusM, v.Enter, v.Leave.Add(bucket))
-		acc, ok := perCell[v.Cell]
-		if !ok {
-			acc = &AccuracyResult{}
-			perCell[v.Cell] = acc
-		}
-		acc.Add(res)
-	}
-	out := make(map[hexgrid.Cell]float64, len(perCell))
-	for cell, acc := range perCell {
-		if acc.Buckets > 0 {
-			out[cell] = acc.Pct()
-		}
-	}
-	return out
 }
 
 // TotalDwellByCell sums visit durations per cell.

@@ -2,30 +2,12 @@ package analysis
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"tagsim/internal/geo"
 	"tagsim/internal/hexgrid"
 	"tagsim/internal/trace"
 )
-
-// indexingDisabled routes the exported accuracy entry points through the
-// historical per-call scan implementations instead of the columnar index.
-// It exists so equivalence tests and recorded benchmarks can exercise the
-// pre-index analysis plane through unmodified figure code (the analysis
-// analogue of device.SetGridIndexing).
-var indexingDisabled atomic.Bool
-
-// SetIndexedAnalysis toggles the index-backed accuracy pipeline
-// (testing/benchmark escape hatch; the default is enabled). It returns
-// the previous setting so callers can restore it.
-func SetIndexedAnalysis(enabled bool) (was bool) {
-	return !indexingDisabled.Swap(!enabled)
-}
-
-// IndexedAnalysis reports whether the index-backed pipeline is enabled.
-func IndexedAnalysis() bool { return !indexingDisabled.Load() }
 
 // span is one maximal closed interval [lo, hi] (unix nanos) of ground-
 // truth coverage: every instant t with lo <= t <= hi has TruthIndex.At

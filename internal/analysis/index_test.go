@@ -77,7 +77,7 @@ func randomCrawl(rng *rand.Rand, ti *TruthIndex, from time.Time, span time.Durat
 // TestIndexMatchesScanReference is the equivalence property the whole PR
 // rests on: for randomized truth tracks, crawl logs, bucket lengths,
 // radii, and (possibly misaligned) windows, the index-backed metrics
-// must reproduce the legacy scan implementations exactly.
+// must reproduce the Scan reference exactly.
 func TestIndexMatchesScanReference(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -96,19 +96,19 @@ func TestIndexMatchesScanReference(t *testing.T) {
 				// Misalign the window from the bucket grid and the fixes.
 				lo := from.Add(-time.Duration(rng.Intn(600)) * time.Second)
 				hi := to.Add(time.Duration(rng.Intn(600)) * time.Second)
-				want := accuracyScan(ti, reports, bucket, radius, lo, hi)
+				want := Scan{ti, reports}.Accuracy(bucket, radius, lo, hi)
 				got := ix.Accuracy(bucket, radius, lo, hi)
 				if got != want {
 					t.Fatalf("seed %d bucket %v radius %.0f: Accuracy index %+v != scan %+v", seed, bucket, radius, got, want)
 				}
 
-				wantDaily := dailyAccuracyScan(ti, reports, bucket, radius, lo, hi, 2)
+				wantDaily := Scan{ti, reports}.DailyAccuracy(bucket, radius, lo, hi, 2)
 				gotDaily := ix.DailyAccuracy(bucket, radius, lo, hi, 2)
 				if !reflect.DeepEqual(gotDaily, wantDaily) {
 					t.Fatalf("seed %d bucket %v radius %.0f: DailyAccuracy index %v != scan %v", seed, bucket, radius, gotDaily, wantDaily)
 				}
 
-				wantClass := accuracyByClassScan(ti, reports, bucket, radius, lo, hi, PeriodClassifier)
+				wantClass := Scan{ti, reports}.AccuracyByClass(bucket, radius, lo, hi, PeriodClassifier)
 				gotClass := ix.AccuracyByClass(bucket, radius, lo, hi, PeriodClassifier)
 				if !reflect.DeepEqual(gotClass, wantClass) {
 					t.Fatalf("seed %d bucket %v radius %.0f: AccuracyByClass index %v != scan %v", seed, bucket, radius, gotClass, wantClass)
@@ -116,7 +116,7 @@ func TestIndexMatchesScanReference(t *testing.T) {
 			}
 		}
 
-		wantDailyClass := dailyAccuracyByClassScan(ti, reports, 10*time.Minute, 100, from, to, SpeedClassifier(ti), 1)
+		wantDailyClass := Scan{ti, reports}.DailyAccuracyByClass(10*time.Minute, 100, from, to, SpeedClassifier(ti), 1)
 		gotDailyClass := NewIndex(ti, reports).DailyAccuracyByClass(10*time.Minute, 100, from, to, SpeedClassifier(ti), 1)
 		if !reflect.DeepEqual(gotDailyClass, wantDailyClass) {
 			t.Fatalf("seed %d: DailyAccuracyByClass index %v != scan %v", seed, gotDailyClass, wantDailyClass)
@@ -124,7 +124,7 @@ func TestIndexMatchesScanReference(t *testing.T) {
 
 		visits := HexVisits(fixes, 8, 5*time.Minute, 5*time.Minute)
 		for _, bucket := range []time.Duration{0, 20 * time.Minute, time.Hour} {
-			wantCells := cellAccuracyScan(ti, reports, visits, bucket, 100)
+			wantCells := Scan{ti, reports}.CellAccuracy(visits, bucket, 100)
 			gotCells := ix.CellAccuracy(visits, bucket, 100)
 			if !reflect.DeepEqual(gotCells, wantCells) {
 				t.Fatalf("seed %d bucket %v: CellAccuracy index %v != scan %v", seed, bucket, gotCells, wantCells)
@@ -177,33 +177,6 @@ func TestIndexEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestSetIndexedAnalysis: the escape hatch must route the exported entry
-// points through the scan reference and report its previous state.
-func TestSetIndexedAnalysis(t *testing.T) {
-	was := SetIndexedAnalysis(false)
-	defer SetIndexedAnalysis(was)
-	if IndexedAnalysis() {
-		t.Fatal("toggle did not disable indexing")
-	}
-	ti := NewTruthIndex(walkFixes(t0, origin, 3.6, time.Hour))
-	var reports []trace.CrawlRecord
-	for i := 0; i < 6; i++ {
-		at := t0.Add(time.Duration(i)*10*time.Minute + 5*time.Minute)
-		pos, _ := ti.At(at)
-		reports = append(reports, crawlAt(at, pos))
-	}
-	res := Accuracy(ti, reports, 10*time.Minute, 10, t0, t0.Add(time.Hour))
-	if res.Buckets != 6 || res.Hits != 6 {
-		t.Errorf("scan-routed Accuracy = %+v, want 6/6", res)
-	}
-	if got := SetIndexedAnalysis(true); got != false {
-		t.Errorf("SetIndexedAnalysis returned was=%v, want false", got)
-	}
-	if !IndexedAnalysis() {
-		t.Error("toggle did not re-enable indexing")
-	}
-}
-
 // TestIndexReusableAcrossSweeps: one index must answer many different
 // (bucket, radius, window) queries — the cursor state is per call, not
 // per index.
@@ -227,7 +200,7 @@ func TestIndexReusableAcrossSweeps(t *testing.T) {
 		{10 * time.Minute, 10, t0}, // repeat of an earlier query
 	}
 	for i, qq := range queries {
-		want := accuracyScan(ti, reports, qq.bucket, qq.radius, qq.from, t0.Add(6*time.Hour))
+		want := Scan{ti, reports}.Accuracy(qq.bucket, qq.radius, qq.from, t0.Add(6*time.Hour))
 		if got := ix.Accuracy(qq.bucket, qq.radius, qq.from, t0.Add(6*time.Hour)); got != want {
 			t.Fatalf("query %d: %+v != %+v", i, got, want)
 		}
@@ -246,7 +219,7 @@ func BenchmarkIndexAccuracySweep(b *testing.B) {
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, m := range []int{1, 10, 60, 120} {
-				accuracyScan(ti, reports, time.Duration(m)*time.Minute, 100, t0, t0.Add(24*time.Hour))
+				Scan{ti, reports}.Accuracy(time.Duration(m)*time.Minute, 100, t0, t0.Add(24*time.Hour))
 			}
 		}
 	})

@@ -201,10 +201,9 @@ func TestFleetNear(t *testing.T) {
 	if f.Len() != 3 {
 		t.Fatalf("fleet size %d", f.Len())
 	}
-	got := f.Near(origin, t0, 100, nil)
 	names := map[string]bool{}
-	for _, d := range got {
-		names[d.ID] = true
+	for _, i := range f.NearIndices(origin, t0, 100, nil) {
+		names[f.Devices()[i].ID] = true
 	}
 	if !names["near-stationary"] {
 		t.Error("nearby stationary device missed")
@@ -219,12 +218,12 @@ func TestFleetNear(t *testing.T) {
 
 func TestFleetNearReuseBuffer(t *testing.T) {
 	f := NewFleet(origin, []*Device{newApple("a"), newSamsung("s")})
-	buf := make([]*Device, 0, 8)
-	buf = f.Near(origin, t0, 100, buf)
+	buf := make([]int32, 0, 8)
+	buf = f.NearIndices(origin, t0, 100, buf)
 	if len(buf) != 2 {
 		t.Fatalf("got %d candidates", len(buf))
 	}
-	buf2 := f.Near(origin, t0, 100, buf[:0])
+	buf2 := f.NearIndices(origin, t0, 100, buf[:0])
 	if len(buf2) != 2 || cap(buf2) != cap(buf) {
 		t.Error("buffer reuse failed")
 	}
@@ -236,7 +235,7 @@ func TestFleetUnknownModelFullScan(t *testing.T) {
 	d := newApple("weird")
 	d.Mobility = weirdModel{}
 	f := NewFleet(origin, []*Device{d})
-	if got := f.Near(geo.Destination(origin, 0, 1e6), t0, 10, nil); len(got) != 1 {
+	if got := f.NearIndices(geo.Destination(origin, 0, 1e6), t0, 10, nil); len(got) != 1 {
 		t.Error("unbounded device must survive pruning")
 	}
 }
@@ -276,10 +275,10 @@ func BenchmarkFleetNear(b *testing.B) {
 		devices[i] = New("d", trace.VendorApple, home, mobility.Stationary(home))
 	}
 	f := NewFleet(origin, devices)
-	buf := make([]*Device, 0, 256)
+	buf := make([]int32, 0, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = f.Near(origin, t0, 100, buf[:0])
+		buf = f.NearIndices(origin, t0, 100, buf[:0])
 	}
 }
 

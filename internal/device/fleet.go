@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"tagsim/internal/geo"
@@ -30,7 +29,8 @@ import (
 // order the historical linear scan produced — so every downstream RNG
 // draw sequence, and therefore the whole simulation output, is
 // byte-identical to the unindexed implementation (property-tested in
-// fleet_prop_test.go and end-to-end in scenario.TestWildGridEquivalence).
+// fleet_prop_test.go, and on every candidate query of the wild worlds in
+// scenario.TestWildGridEquivalence).
 type Fleet struct {
 	devices []*Device
 	enu     *geo.ENU
@@ -48,24 +48,11 @@ type Fleet struct {
 	overflow   []int32 // ascending device indices with roam > roamCap
 	roamCap    float64 // max roam bound among grid-indexed devices
 
-	// scratch collects gathered cell buckets per query and idx the
-	// resulting candidate indices; reusing them makes Near
+	// scratch collects gathered cell buckets per query and idx
+	// NearBrute's candidate indices; reusing them makes queries
 	// allocation-free but not safe for concurrent queries on one Fleet.
 	scratch []int32
 	idx     []int32
-}
-
-// gridDisabled turns off grid construction process-wide; every query then
-// takes the brute-force path. It exists so equivalence tests and recorded
-// benchmarks can exercise the historical linear scan through unmodified
-// simulation code, including worlds built on concurrent workers.
-var gridDisabled atomic.Bool
-
-// SetGridIndexing toggles the spatial grid for fleets built afterwards
-// (testing/benchmark escape hatch; the default is enabled). It returns
-// the previous setting so tests can restore it.
-func SetGridIndexing(enabled bool) (was bool) {
-	return !gridDisabled.Swap(!enabled)
 }
 
 // Grid sizing bounds. The cell edge tracks the roam-bound distribution
@@ -90,9 +77,7 @@ func NewFleet(origin geo.LatLon, devices []*Device) *Fleet {
 		f.xs[i], f.ys[i] = f.enu.Forward(d.Home)
 		f.roamM[i] = roamBound(d)
 	}
-	if !gridDisabled.Load() {
-		f.buildGrid()
-	}
+	f.buildGrid()
 	return f
 }
 
@@ -220,22 +205,6 @@ func (f *Fleet) CountByVendor() map[trace.Vendor]int {
 	return out
 }
 
-// Near appends to dst the devices that are active at time t and could be
-// within radiusM of pos (callers still verify true distance via Pos). It
-// returns the extended slice, enabling allocation-free reuse. Candidates
-// appear in ascending device-index order, identical to NearBrute.
-//
-// Near reuses per-fleet scratch space and is not safe for concurrent
-// queries on the same Fleet (the simulation is single-goroutine per
-// world).
-func (f *Fleet) Near(pos geo.LatLon, t time.Time, radiusM float64, dst []*Device) []*Device {
-	f.idx = f.NearIndices(pos, t, radiusM, f.idx[:0])
-	for _, i := range f.idx {
-		dst = append(dst, f.devices[i])
-	}
-	return dst
-}
-
 // NearBrute is the reference linear roam-bound scan over every device —
 // the pre-index implementation, kept as the equivalence oracle for
 // property tests and as the recorded benchmark baseline.
@@ -248,10 +217,16 @@ func (f *Fleet) NearBrute(pos geo.LatLon, t time.Time, radiusM float64, dst []*D
 	return dst
 }
 
-// NearIndices is Near returning device indices instead of pointers —
-// the form the radio plane consumes, because an index keys per-(tag,
-// device) state without a map of pointers. Same ordering and
-// concurrency contract as Near.
+// NearIndices appends to dst the indices of the devices that are active
+// at time t and could be within radiusM of pos (callers still verify true
+// distance via Pos). It returns the extended slice, enabling
+// allocation-free reuse. Indices are ascending, the order NearBrute
+// produces; the radio plane consumes indices because an index keys
+// per-(tag, device) state without a map of pointers.
+//
+// NearIndices reuses per-fleet scratch space and is not safe for
+// concurrent queries on the same Fleet (the simulation is
+// single-goroutine per world).
 func (f *Fleet) NearIndices(pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
 	return f.nearIdx(&f.scratch, pos, t, radiusM, dst)
 }
@@ -260,9 +235,10 @@ func (f *Fleet) NearIndices(pos geo.LatLon, t time.Time, radiusM float64, dst []
 // to dst, gathering grid buckets into *cells (always &f.scratch). The
 // scratch is a parameter rather than read from f on purpose: this body
 // compiles to a linear-scan loop that measured ~25% faster on amd64
-// than the same function reading f.scratch directly (BenchmarkScanOnce
-// index=brute, fleet=60000, 2 vCPU Xeon) — a code-layout effect, so
-// re-measure before reshaping it.
+// than the same function reading f.scratch directly (measured on the
+// since-retired linear-scan mode of BenchmarkScanOnce, fleet=60000,
+// 2 vCPU Xeon) — a code-layout effect, so re-measure before reshaping
+// it.
 func (f *Fleet) nearIdx(cells *[]int32, pos geo.LatLon, t time.Time, radiusM float64, dst []int32) []int32 {
 	qx, qy := f.enu.Forward(pos)
 	if f.cellStart == nil {
@@ -353,7 +329,6 @@ type GridStats struct {
 	Indexed  int     // devices bucketed into grid cells
 	Overflow int     // devices on the linear overflow list
 	Cells    int     // total grid cells (nx*ny)
-	Rows     int     // grid rows (ny) — the maximum usable scan-region count
 	CellM    float64 // cell edge length in meters
 	RoamCapM float64 // roam bound cap for grid-indexed devices
 }
@@ -368,7 +343,6 @@ func (f *Fleet) GridStats() GridStats {
 		Indexed:  len(f.cellIdx),
 		Overflow: len(f.overflow),
 		Cells:    f.nx * f.ny,
-		Rows:     f.ny,
 		CellM:    f.cellSizeM,
 		RoamCapM: f.roamCap,
 	}

@@ -56,11 +56,13 @@ func randomFleet(rng *rand.Rand, n int, spreadM float64) *Fleet {
 
 // TestNearGridMatchesBrute is the index's correctness property: for
 // randomized fleets, query points, radii, and times, the grid-indexed
-// Near returns exactly the brute-force scan's candidates in exactly its
-// order — including inactive devices and infinite roam bounds. Order
-// matters: the encounter plane draws from one RNG stream per scan, so a
-// reordered candidate set would silently change simulation output.
+// NearIndices returns exactly the brute-force scan's candidates in
+// exactly its order — including inactive devices and infinite roam
+// bounds. Order matters: the encounter plane draws from one RNG stream
+// per scan, so a reordered candidate set would silently change
+// simulation output.
 func TestNearGridMatchesBrute(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(400)
@@ -73,16 +75,16 @@ func TestNearGridMatchesBrute(t *testing.T) {
 			pos := geo.Destination(origin, rng.Float64()*360, rng.Float64()*spread*1.5)
 			radius := []float64{1, 50, 120, 1000, 20000}[rng.Intn(5)]
 			at := t0.Add(time.Duration(rng.Intn(6*60)) * time.Minute)
-			got := f.Near(pos, at, radius, nil)
+			got := f.NearIndices(pos, at, radius, nil)
 			want := f.NearBrute(pos, at, radius, nil)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d query %d (n=%d spread=%.0f r=%.0f): grid %d candidates, brute %d",
 					trial, q, n, spread, radius, len(got), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
+				if d := f.Devices()[got[i]]; d != want[i] {
 					t.Fatalf("trial %d query %d: candidate %d is %s, brute has %s (order or set diverged)",
-						trial, q, i, got[i].ID, want[i].ID)
+						trial, q, i, d.ID, want[i].ID)
 				}
 			}
 		}
@@ -99,48 +101,31 @@ func TestNearGridOverflowOnly(t *testing.T) {
 	}
 	f := NewFleet(origin, devices)
 	far := geo.Destination(origin, 45, 1e6)
-	if got := f.Near(far, t0, 10, nil); len(got) != 8 {
+	if got := f.NearIndices(far, t0, 10, nil); len(got) != 8 {
 		t.Errorf("unbounded devices must always be candidates, got %d/8", len(got))
 	}
 }
 
-// TestSetGridIndexing: disabling the grid forces the linear path and
-// restores cleanly.
-func TestSetGridIndexing(t *testing.T) {
-	was := SetGridIndexing(false)
-	defer SetGridIndexing(was)
-	f := NewFleet(origin, []*Device{newApple("a")})
-	if st := f.GridStats(); st.Cells != 0 {
-		t.Errorf("grid built despite SetGridIndexing(false): %+v", st)
-	}
-	if got := f.Near(origin, t0, 100, nil); len(got) != 1 {
-		t.Error("linear fallback lost the device")
-	}
-	SetGridIndexing(true)
-	f2 := NewFleet(origin, []*Device{newApple("a"), newApple("b")})
-	if st := f2.GridStats(); st.Cells == 0 {
-		t.Errorf("grid absent after re-enabling: %+v", st)
-	}
-}
-
-// TestNearAllocationFree: after the first query warms the buffers, Near
-// must not allocate — it runs thousands of times per simulated day.
+// TestNearAllocationFree: after the first query warms the buffers,
+// NearIndices must not allocate — it runs thousands of times per
+// simulated day.
 func TestNearAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := randomFleet(rng, 500, 5000)
-	buf := make([]*Device, 0, 600)
+	buf := make([]int32, 0, 600)
 	pos := geo.Destination(origin, 10, 800)
-	buf = f.Near(pos, t0, 120, buf[:0]) // warm scratch + dst
+	buf = f.NearIndices(pos, t0, 120, buf[:0]) // warm scratch + dst
 	allocs := testing.AllocsPerRun(50, func() {
-		buf = f.Near(pos, t0, 120, buf[:0])
+		buf = f.NearIndices(pos, t0, 120, buf[:0])
 	})
 	if allocs != 0 {
-		t.Errorf("Near allocates %.1f times per query, want 0", allocs)
+		t.Errorf("NearIndices allocates %.1f times per query, want 0", allocs)
 	}
 }
 
-// TestNearIndicesMatchesNear pins the fleet-level index query to Near on
-// uneven radii, including the overflow-only path.
+// TestNearIndicesMatchesNear pins the fleet-level index query to the
+// brute-force reference scan on uneven radii, including the
+// overflow-only path.
 func TestNearIndicesMatchesNear(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	f := randomFleet(rng, 300, 4000)
@@ -148,14 +133,14 @@ func TestNearIndicesMatchesNear(t *testing.T) {
 	for _, radius := range []float64{37, 250, 1999} {
 		for i := 0; i < 32; i++ {
 			q := geo.Destination(origin, rng.Float64()*360, rng.Float64()*6000)
-			byDev := f.Near(q, t0, radius, nil)
+			byDev := f.NearBrute(q, t0, radius, nil)
 			idx := f.NearIndices(q, t0, radius, nil)
 			if len(byDev) != len(idx) {
-				t.Fatalf("radius %v query %d: Near %d, NearIndices %d", radius, i, len(byDev), len(idx))
+				t.Fatalf("radius %v query %d: NearBrute %d, NearIndices %d", radius, i, len(byDev), len(idx))
 			}
 			for j := range idx {
 				if devs[idx[j]] != byDev[j] {
-					t.Fatalf("radius %v query %d result %d: index %d is %s, Near gave %s",
+					t.Fatalf("radius %v query %d result %d: index %d is %s, NearBrute gave %s",
 						radius, i, j, idx[j], devs[idx[j]].ID, byDev[j].ID)
 				}
 			}

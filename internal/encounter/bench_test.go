@@ -142,24 +142,21 @@ func legacyScanOnce(p *Plane, buf []*device.Device, now time.Time) []*device.Dev
 }
 
 // BenchmarkScanOnce sweeps the encounter hot path over fleet sizes and
-// tag counts, three ways: index=grid is the shipping spatially-indexed
-// allocation-lean path; index=brute is the same lean path with the
-// linear candidate scan (isolates the index's contribution); and
-// index=legacy is the seed implementation — linear scan plus per-tick
-// formatting and RNG allocation — the "before" column of
-// BENCH_scan.json. One op is a full scan tick: every tag's candidate
-// search plus radio, strategy, and report evaluation.
+// tag counts, two ways: index=grid is the shipping spatially-indexed
+// allocation-lean path, and index=legacy is the seed implementation —
+// the NearBrute linear scan plus per-tick formatting and RNG allocation —
+// the "before" column of BENCH_scan.json (its index=brute rows are
+// history). One op is a full scan tick: every tag's candidate search
+// plus radio, strategy, and report evaluation.
 func BenchmarkScanOnce(b *testing.B) {
 	for _, nDev := range []int{600, 6000, 60000} {
 		devices := benchFleet(nDev)
 		radius := 2000 * math.Sqrt(float64(nDev)/600)
 		for _, nTags := range []int{2, 16} {
-			for _, mode := range []string{"grid", "brute", "legacy"} {
+			for _, mode := range []string{"grid", "legacy"} {
 				name := fmt.Sprintf("fleet=%d/tags=%d/index=%s", nDev, nTags, mode)
 				b.Run(name, func(b *testing.B) {
-					was := device.SetGridIndexing(mode == "grid")
 					fleet := device.NewFleet(origin, devices)
-					device.SetGridIndexing(was)
 					// The device slice is shared across sub-benchmarks and
 					// ShouldReport mutates per-tag cooldown state; reset it so
 					// every mode (and every b.N retry) measures the same

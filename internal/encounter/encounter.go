@@ -132,6 +132,10 @@ func New(cfg Config, e *sim.Engine, fleet *device.Fleet, tags []*tag.Tag, servic
 	return p
 }
 
+// Config returns the plane's configuration with defaults applied: the
+// scan cadence and the candidate search radius every tick uses.
+func (p *Plane) Config() Config { return p.cfg }
+
 // Attach starts the scan loop at start; the returned function stops it.
 func (p *Plane) Attach(start time.Time) (stop func()) {
 	return p.engine.EveryFixed(start, p.cfg.ScanInterval, p.ScanOnce)

@@ -11,6 +11,7 @@ import (
 
 	"tagsim/internal/analysis"
 	"tagsim/internal/geo"
+	"tagsim/internal/hexgrid"
 	"tagsim/internal/pipeline"
 	"tagsim/internal/runner"
 	"tagsim/internal/scenario"
@@ -78,8 +79,12 @@ type Campaign struct {
 	// crawls): the crawl log is deduped and truth-resolved exactly once,
 	// then every figure's (bucket, radius, window, classifier) sweep
 	// point merges against it.
-	indexes  map[trace.Vendor]*analysis.Index
-	From, To time.Time
+	indexes map[trace.Vendor]*analysis.Index
+	// reference, nil in every production campaign, builds the accuracy
+	// planes in place of the indexes; the figure equivalence test sets it
+	// to the analysis.Scan reference.
+	reference func(*analysis.TruthIndex, []trace.CrawlRecord) accuracyPlane
+	From, To  time.Time
 }
 
 // NewCampaign runs the campaign and prepares the shared analysis state.
@@ -179,24 +184,32 @@ func (c *Campaign) Crawls(v trace.Vendor) []trace.CrawlRecord { return c.filtere
 // computations fanning out on the worker pool.
 func (c *Campaign) Index(v trace.Vendor) *analysis.Index { return c.indexes[v] }
 
-// accuracy evaluates one accuracy point for a vendor over the cached
-// index — or over the raw crawl log when the index-backed pipeline is
-// disabled (analysis.SetIndexedAnalysis), which reproduces the historical
-// per-figure rescan byte for byte.
-func (c *Campaign) accuracy(v trace.Vendor, bucket time.Duration, radiusM float64, from, to time.Time) analysis.AccuracyResult {
-	if !analysis.IndexedAnalysis() {
-		return analysis.Accuracy(c.Truth, c.Crawls(v), bucket, radiusM, from, to)
-	}
-	return c.Index(v).Accuracy(bucket, radiusM, from, to)
+// accuracyPlane is the analysis surface the wild figures read accuracy
+// through. *analysis.Index is the production plane; analysis.Scan, the
+// per-call scan reference, satisfies it too, so a test can render every
+// figure from both.
+type accuracyPlane interface {
+	Accuracy(bucket time.Duration, radiusM float64, from, to time.Time) analysis.AccuracyResult
+	DailyAccuracyByClass(bucket time.Duration, radiusM float64, from, to time.Time, classify analysis.BucketClassifier, minBuckets int) map[string][]float64
+	CellAccuracy(visits []analysis.HexVisit, bucket time.Duration, radiusM float64) map[hexgrid.Cell]float64
 }
 
-// dailyAccuracyByClass is the classified-daily counterpart of accuracy,
-// honoring the same escape hatch.
-func (c *Campaign) dailyAccuracyByClass(v trace.Vendor, bucket time.Duration, radiusM float64, classify analysis.BucketClassifier, minBuckets int) map[string][]float64 {
-	if !analysis.IndexedAnalysis() {
-		return analysis.DailyAccuracyByClass(c.Truth, c.Crawls(v), bucket, radiusM, c.From, c.To, classify, minBuckets)
+// plane returns the accuracy plane over a vendor's home-filtered crawl
+// log: its cached index, unless a reference replaces the indexes.
+func (c *Campaign) plane(v trace.Vendor) accuracyPlane {
+	if c.reference != nil {
+		return c.reference(c.Truth, c.Crawls(v))
 	}
-	return c.Index(v).DailyAccuracyByClass(bucket, radiusM, c.From, c.To, classify, minBuckets)
+	return c.indexes[v]
+}
+
+// planeOver builds an accuracy plane over any (truth, crawl log) pair —
+// Figure 7's per-country planes.
+func (c *Campaign) planeOver(truth *analysis.TruthIndex, reports []trace.CrawlRecord) accuracyPlane {
+	if c.reference != nil {
+		return c.reference(truth, reports)
+	}
+	return analysis.NewIndex(truth, reports)
 }
 
 // Vendors lists the three analysis ecosystems in figure order — the

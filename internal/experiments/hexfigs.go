@@ -163,7 +163,7 @@ func Figure7(c *Campaign) *Figure7Result {
 		out := make([][]classified, len(Vendors))
 		for vi, vendor := range Vendors {
 			reports := analysis.FilterCrawlsNearHomes(cr.Dataset.CrawlsFor(vendor), cr.Homes, 300)
-			acc := analysis.CellAccuracy(truth, reports, visits, window, radius)
+			acc := c.planeOver(truth, reports).CellAccuracy(visits, window, radius)
 			for _, cell := range cells {
 				pct, ok := acc[cell]
 				if !ok {

@@ -65,21 +65,24 @@ func renderWildFigures(c *Campaign) string {
 	return b.String()
 }
 
-// TestFigurePipelineIndexEquivalence is the PR's acceptance gate: every
-// reproduced table and figure must render byte-identically whether the
-// analysis plane runs the one-time columnar index or the historical
-// per-figure rescans (analysis.SetIndexedAnalysis escape hatch).
+// TestFigurePipelineIndexEquivalence is the analysis index's acceptance
+// gate: every reproduced table and figure must render byte-identically
+// whether the analysis plane runs the production columnar indexes or the
+// analysis.Scan per-figure rescans on the same campaign.
 func TestFigurePipelineIndexEquivalence(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("campaign experiments are slow")
 	}
 	c := NewCampaign(tinyOpts(47, 0))
 	indexed := renderWildFigures(c)
-	was := analysis.SetIndexedAnalysis(false)
-	defer analysis.SetIndexedAnalysis(was)
-	legacy := renderWildFigures(c)
-	if indexed != legacy {
-		t.Errorf("figure pipeline diverged between indexed and scan analysis:\nindexed:\n%s\nscan:\n%s", indexed, legacy)
+	ref := *c
+	ref.reference = func(truth *analysis.TruthIndex, reports []trace.CrawlRecord) accuracyPlane {
+		return analysis.Scan{Truth: truth, Reports: reports}
+	}
+	scan := renderWildFigures(&ref)
+	if indexed != scan {
+		t.Errorf("figure pipeline diverged between indexed and scan analysis:\nindexed:\n%s\nscan:\n%s", indexed, scan)
 	}
 }
 

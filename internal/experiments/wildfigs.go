@@ -112,7 +112,7 @@ func Figure5Sweep(c *Campaign, radiusM float64) *Figure5SweepResult {
 	n := len(Vendors) * len(SweepMinutes)
 	pts := runner.Map(c.Options.Workers, n, func(i int) Figure5SweepPoint {
 		v, m := Vendors[i/len(SweepMinutes)], SweepMinutes[i%len(SweepMinutes)]
-		acc := c.accuracy(v, time.Duration(m)*time.Minute, radiusM, c.From, c.To)
+		acc := c.plane(v).Accuracy(time.Duration(m)*time.Minute, radiusM, c.From, c.To)
 		return Figure5SweepPoint{Vendor: v, Minutes: m, Acc: acc.Pct()}
 	})
 	res.Points = pts
@@ -194,7 +194,7 @@ func classPanel(c *Campaign, title string, classes []string, classify analysis.B
 	res := &Figure5ClassResult{Title: title, Classes: classes}
 	const bucket = 10 * time.Minute
 	perRadius := runner.Map(c.Options.Workers, len(classPanelRadii), func(i int) map[string][]float64 {
-		return c.dailyAccuracyByClass(trace.VendorCombined, bucket, classPanelRadii[i], classify, 2)
+		return c.plane(trace.VendorCombined).DailyAccuracyByClass(bucket, classPanelRadii[i], c.From, c.To, classify, 2)
 	})
 	daily := map[float64]map[string][]float64{}
 	for i, radius := range classPanelRadii {
@@ -304,7 +304,7 @@ func Figure8(c *Campaign) *Figure8Result {
 	}
 	cells := runner.Map(c.Options.Workers, len(res.Windows)*len(res.Radii), func(i int) float64 {
 		w, radius := res.Windows[i/len(res.Radii)], res.Radii[i%len(res.Radii)]
-		return c.accuracy(trace.VendorCombined, w, radius, c.From, c.To).Pct()
+		return c.plane(trace.VendorCombined).Accuracy(w, radius, c.From, c.To).Pct()
 	})
 	for wi, w := range res.Windows {
 		res.Acc[w] = make(map[float64]float64, len(res.Radii))
@@ -354,7 +354,7 @@ type HeadlineResult struct {
 func Headline(c *Campaign) *HeadlineResult {
 	res := &HeadlineResult{HomeFilteredFrac: c.RemovedFrac}
 	combined := c.Crawls(trace.VendorCombined)
-	res.Acc10Min100M = c.accuracy(trace.VendorCombined, 10*time.Minute, 100, c.From, c.To).Pct()
+	res.Acc10Min100M = c.plane(trace.VendorCombined).Accuracy(10*time.Minute, 100, c.From, c.To).Pct()
 
 	// Backtracking: place episodes (>=5 min within 25 m), first accurate
 	// (10 m) report within one hour.

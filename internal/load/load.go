@@ -357,7 +357,7 @@ func Run(cfg Config, target Target) (*Result, error) {
 	traced, _ := target.(tracedTarget)
 	var th *otrace.Threshold
 	if traced != nil && otrace.Enabled() {
-		th = otrace.NewThreshold(otrace.PlaneServe, cfg.Latency, -1)
+		th = otrace.NewThreshold(cfg.Latency, -1)
 	}
 	var wg sync.WaitGroup
 	begin := time.Now()
@@ -470,19 +470,20 @@ func (s *reportSynth) next(tagID string) trace.Report {
 }
 
 // ServiceTarget drives the store surface directly (no HTTP): the
-// shared-memory baseline the HTTP layer is compared against. Services
-// are probed and merged in sorted vendor order, like the query API.
+// shared-memory baseline the HTTP layer is compared against. Reads go
+// through the query plane's hot-tag cache, like serve.NewServer deploys,
+// so it isolates what the HTTP layer adds.
 type ServiceTarget struct {
 	services map[trace.Vendor]*cloud.Service
 	svcs     []*cloud.Service // sorted by vendor
-	combined cloud.Combined
-	cache    *cloud.HotCache // nil on the direct target
+	cache    *cloud.HotCache
 	writes   *reportSynth
 }
 
-// NewServiceTarget builds a direct target over per-vendor services.
+// NewServiceTarget builds a direct target over per-vendor services, with
+// the hot-tag cache in front of last-known/track/history.
 func NewServiceTarget(services map[trace.Vendor]*cloud.Service) *ServiceTarget {
-	t := &ServiceTarget{services: services}
+	t := &ServiceTarget{services: services, cache: cloud.NewHotCache(services, 0)}
 	var vendors []trace.Vendor
 	for v, svc := range services {
 		t.svcs = append(t.svcs, svc)
@@ -490,35 +491,8 @@ func NewServiceTarget(services map[trace.Vendor]*cloud.Service) *ServiceTarget {
 	}
 	sort.Slice(t.svcs, func(i, j int) bool { return t.svcs[i].Vendor() < t.svcs[j].Vendor() })
 	sort.Slice(vendors, func(i, j int) bool { return vendors[i] < vendors[j] })
-	t.combined = cloud.Combined(t.svcs)
 	t.writes = newReportSynth(vendors)
 	return t
-}
-
-// NewCachedServiceTarget is NewServiceTarget with the query plane's
-// hot-tag cache in front of last-known/track/known — the in-process
-// equivalent of what serve.NewServer deploys, for benchmarking the
-// cache without the HTTP layer.
-func NewCachedServiceTarget(services map[trace.Vendor]*cloud.Service) *ServiceTarget {
-	t := NewServiceTarget(services)
-	t.cache = cloud.NewHotCache(services, 0)
-	return t
-}
-
-// known answers whether any backing service has the tag — mirroring
-// the HTTP layer's 404 for unknown tags, so error rates stay
-// comparable between the direct and HTTP targets. Probes short-circuit
-// in sorted vendor order.
-func (t *ServiceTarget) known(tagID string) bool {
-	if t.cache != nil {
-		return t.cache.Known(tagID)
-	}
-	for _, svc := range t.svcs {
-		if svc.Known(tagID) {
-			return true
-		}
-	}
-	return false
 }
 
 // Do implements Target against the in-process stores.
@@ -528,7 +502,8 @@ func (t *ServiceTarget) Do(op Op, tagID string) (int, error) {
 
 // DoTraced implements tracedTarget: the same dispatch as Do with the
 // request trace threaded into the cache and store layers (nil tr
-// traces nothing).
+// traces nothing). Unknown tags are errors, mirroring the HTTP layer's
+// 404, so error rates stay comparable between the two targets.
 func (t *ServiceTarget) DoTraced(op Op, tagID string, tr *otrace.Trace) (int, error) {
 	switch op {
 	case OpStats:
@@ -548,50 +523,27 @@ func (t *ServiceTarget) DoTraced(op Op, tagID string, tr *otrace.Trace) (int, er
 			return 1, nil
 		}
 		return 0, nil // rate-capped, not an error
-	}
-	switch op {
 	case OpLastKnown:
-		if t.cache != nil {
-			_, _, found, known := t.cache.LastSeenTraced(tagID, tr)
-			if !known {
-				return 0, fmt.Errorf("load: unknown tag %q", tagID)
-			}
-			if found {
-				return 1, nil
-			}
-			return 0, nil
-		}
-		if !t.known(tagID) {
+		_, _, found, known := t.cache.LastSeenTraced(tagID, tr)
+		if !known {
 			return 0, fmt.Errorf("load: unknown tag %q", tagID)
 		}
-		if _, _, ok := t.combined.LastSeen(tagID); ok {
+		if found {
 			return 1, nil
 		}
 		return 0, nil
 	case OpHistory:
-		if t.cache != nil {
-			hist, known := t.cache.HistoryTailTraced(tagID, HistoryCap, tr)
-			if !known {
-				return 0, fmt.Errorf("load: unknown tag %q", tagID)
-			}
-			return len(hist), nil
-		}
-		if !t.known(tagID) {
+		hist, known := t.cache.HistoryTailTraced(tagID, HistoryCap, tr)
+		if !known {
 			return 0, fmt.Errorf("load: unknown tag %q", tagID)
 		}
-		return len(t.combined.MergedHistoryTailTraced(tagID, HistoryCap, tr)), nil
+		return len(hist), nil
 	case OpTrack:
-		if t.cache != nil {
-			track, known := t.cache.TrackTraced(tagID, tr)
-			if !known {
-				return 0, fmt.Errorf("load: unknown tag %q", tagID)
-			}
-			return len(track), nil
-		}
-		if !t.known(tagID) {
+		track, known := t.cache.TrackTraced(tagID, tr)
+		if !known {
 			return 0, fmt.Errorf("load: unknown tag %q", tagID)
 		}
-		return len(t.combined.MergedHistoryTraced(tagID, tr)), nil
+		return len(track), nil
 	default:
 		return 0, fmt.Errorf("load: unknown op %v", op)
 	}

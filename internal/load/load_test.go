@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -207,7 +208,8 @@ func TestServiceTarget(t *testing.T) {
 // TestHTTPTargetEndToEnd runs the closed loop against a real HTTP server
 // wired to the query API — the full serving stack in-process.
 func TestHTTPTargetEndToEnd(t *testing.T) {
-	ts := httptest.NewServer(serve.NewServer(fixtureServices()))
+	services := fixtureServices()
+	ts := httptest.NewServer(serve.NewServer(services))
 	defer ts.Close()
 	res, err := Run(Config{Workers: 4, Requests: 400, Seed: 3, Tags: []string{"airtag-1", "smarttag-1", "tag-x"}},
 		NewHTTPTarget(ts.URL))
@@ -223,22 +225,29 @@ func TestHTTPTargetEndToEnd(t *testing.T) {
 	if res.Reports == 0 {
 		t.Error("HTTP target counted no served reports")
 	}
-	// HTTP and direct targets must count the same per-request payloads.
-	direct := NewServiceTarget(fixtureServices())
+	// HTTP answers count the same per-request payloads as the oracle,
+	// before and after a write through the API invalidates the server's
+	// hot-tag cache entry.
 	httpT := NewHTTPTarget(ts.URL)
-	for op := Op(0); op < numOps; op++ {
-		want, _ := direct.Do(op, "smarttag-1")
-		got, err := httpT.Do(op, "smarttag-1")
-		if err != nil {
-			t.Fatalf("%v: %v", op, err)
+	for round := 0; round < 2; round++ {
+		for _, op := range []Op{OpLastKnown, OpHistory, OpTrack} {
+			want, _ := combinedCount(services, op, "smarttag-1")
+			got, err := httpT.Do(op, "smarttag-1")
+			if err != nil {
+				t.Fatalf("round %d %v: %v", round, op, err)
+			}
+			if got != want {
+				t.Errorf("round %d %v: HTTP counted %d reports, Combined %d", round, op, got, want)
+			}
 		}
-		if got != want {
-			t.Errorf("%v: HTTP counted %d reports, direct %d", op, got, want)
+		if n, err := httpT.Do(OpReport, "smarttag-1"); err != nil || n != 1 {
+			t.Fatalf("round %d: fresh write = (%d, %v), want accepted", round, n, err)
 		}
 	}
-	// ...and agree that an unknown tag is an error (the HTTP layer
-	// 404s it; the direct target mirrors that), keeping error rates
-	// comparable between the two modes.
+	// ...and agree with the direct target that an unknown tag is an
+	// error (the HTTP layer 404s it; the direct target mirrors that),
+	// keeping error rates comparable between the two modes.
+	direct := NewServiceTarget(fixtureServices())
 	for _, op := range []Op{OpLastKnown, OpHistory, OpTrack} {
 		if _, err := direct.Do(op, "ghost"); err == nil {
 			t.Errorf("%v: direct target accepted unknown tag", op)
@@ -363,16 +372,45 @@ func TestReadMixWrites(t *testing.T) {
 	}
 }
 
-// TestCachedServiceTarget: the cached target answers identically to the
-// direct one, including after a write invalidates the hot entry.
+// combinedCount is the oracle for the targets' per-request payload
+// counts: cloud.Combined called directly over the services in sorted
+// vendor order, the same oracle the cloud cache tests use. known is
+// false for a tag no service has seen.
+func combinedCount(services map[trace.Vendor]*cloud.Service, op Op, tagID string) (n int, known bool) {
+	var svcs []*cloud.Service
+	for _, svc := range services {
+		svcs = append(svcs, svc)
+		known = known || svc.Known(tagID)
+	}
+	sort.Slice(svcs, func(i, j int) bool { return svcs[i].Vendor() < svcs[j].Vendor() })
+	c := cloud.Combined(svcs)
+	switch {
+	case !known:
+		return 0, false
+	case op == OpLastKnown:
+		if _, _, ok := c.LastSeen(tagID); ok {
+			return 1, true
+		}
+		return 0, true
+	case op == OpHistory:
+		return len(c.MergedHistoryTail(tagID, HistoryCap)), true
+	case op == OpTrack:
+		return len(c.MergedHistory(tagID)), true
+	}
+	return 0, true
+}
+
+// TestCachedServiceTarget: the direct target, which reads through the
+// hot-tag cache, answers like Combined over the same stores, including
+// after a write invalidates the hot entry.
 func TestCachedServiceTarget(t *testing.T) {
-	direct := NewServiceTarget(fixtureServices())
-	cached := NewCachedServiceTarget(fixtureServices())
+	services := fixtureServices()
+	cached := NewServiceTarget(services)
 	for _, op := range []Op{OpLastKnown, OpHistory, OpTrack} {
-		want, _ := direct.Do(op, "airtag-1")
+		want, _ := combinedCount(services, op, "airtag-1")
 		got, err := cached.Do(op, "airtag-1")
 		if err != nil || got != want {
-			t.Errorf("%v: cached = (%d, %v), direct = %d", op, got, err, want)
+			t.Errorf("%v: cached = (%d, %v), Combined = %d", op, got, err, want)
 		}
 		if _, err := cached.Do(op, "ghost"); err == nil {
 			t.Errorf("%v: cached target accepted unknown tag", op)
@@ -384,8 +422,8 @@ func TestCachedServiceTarget(t *testing.T) {
 		t.Fatal("fresh write against the stale fixture should be accepted")
 	}
 	after, _ := cached.Do(OpTrack, "airtag-1")
-	if after != before+1 {
-		t.Errorf("track after invalidating write = %d reports, want %d", after, before+1)
+	if want, _ := combinedCount(services, OpTrack, "airtag-1"); after != before+1 || after != want {
+		t.Errorf("track after invalidating write = %d reports, want %d (Combined %d)", after, before+1, want)
 	}
 	res, err := Run(Config{Workers: 4, Requests: 400, Seed: 3,
 		Tags: []string{"airtag-1", "smarttag-1", "tag-x"}, Mix: ReadMix(90)}, cached)

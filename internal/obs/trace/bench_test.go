@@ -15,7 +15,7 @@ import (
 func BenchmarkRequestPathOps(b *testing.B) {
 	was := SetTracing(true)
 	defer SetTracing(was)
-	th := NewThreshold(PlaneServe, nil, -1)
+	th := NewThreshold(nil, -1)
 	tr := Get()
 	defer Put(tr)
 	t0 := time.Now()

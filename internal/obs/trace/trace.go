@@ -296,32 +296,6 @@ func (t *Trace) capture() *Captured {
 // floor" — tail anatomy, not bulk traffic.
 const DefaultCaptureFloor = 100 * time.Microsecond
 
-// planeOverride pins a plane's threshold to a fixed duration (>= 0),
-// overriding the dynamic p99. -1 (default) means dynamic. Tests and
-// the debug surfaces use it: SetPlaneOverride(PlaneServe, 0) captures
-// every request deterministically.
-var planeOverride [numPlanes]atomic.Int64
-
-func init() {
-	for i := range planeOverride {
-		planeOverride[i].Store(-1)
-	}
-}
-
-// SetPlaneOverride fixes plane p's capture threshold at d (d = 0
-// captures everything); a negative d restores the dynamic p99
-// behavior. It returns the previous override, -1 if none.
-func SetPlaneOverride(p Plane, d time.Duration) (prev time.Duration) {
-	if int(p) >= int(numPlanes) {
-		return -1
-	}
-	v := int64(d)
-	if v < 0 {
-		v = -1
-	}
-	return time.Duration(planeOverride[p].Swap(v))
-}
-
 // Threshold decides which finished traces are worth capturing. Bound
 // to a histogram, the bar is that histogram's live p99 (floored);
 // unbound, it is just the floor. The p99 is cached in one atomic and
@@ -330,21 +304,21 @@ func SetPlaneOverride(p Plane, d time.Duration) (prev time.Duration) {
 // recomputation is self-throttling (at most once per capture-worthy
 // request).
 type Threshold struct {
-	plane  Plane
 	hist   *obs.Histogram
 	floor  int64
 	cached atomic.Int64
 }
 
-// NewThreshold builds a per-plane threshold. hist may be nil (fixed
-// floor only). floor < 0 means DefaultCaptureFloor; the background
-// tier ops pass 0 to capture against their own p99 from the start.
-func NewThreshold(p Plane, hist *obs.Histogram, floor time.Duration) *Threshold {
+// NewThreshold builds a threshold. hist may be nil (fixed floor only):
+// NewThreshold(nil, 0) captures every trace. floor < 0 means
+// DefaultCaptureFloor; the background tier ops pass 0 to capture against
+// their own p99 from the start.
+func NewThreshold(hist *obs.Histogram, floor time.Duration) *Threshold {
 	f := int64(floor)
 	if floor < 0 {
 		f = int64(DefaultCaptureFloor)
 	}
-	return &Threshold{plane: p, hist: hist, floor: f}
+	return &Threshold{hist: hist, floor: f}
 }
 
 // Exceeded reports whether a root of duration d would be captured —
@@ -362,9 +336,6 @@ func (th *Threshold) Exceeded(d time.Duration) bool {
 }
 
 func (th *Threshold) exceeded(ns int64) bool {
-	if o := planeOverride[th.plane].Load(); o >= 0 {
-		return ns >= o
-	}
 	if ns < th.floor {
 		return false
 	}

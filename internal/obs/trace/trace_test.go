@@ -72,7 +72,7 @@ func TestSpanNesting(t *testing.T) {
 func TestDisabledZeroAlloc(t *testing.T) {
 	was := SetTracing(false)
 	defer SetTracing(was)
-	th := NewThreshold(PlaneServe, nil, 0)
+	th := NewThreshold(nil, 0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr := Begin(PlaneTier, "tier.flush")
 		tr.Event(PlaneCache, "cache.hit", 1, 0)
@@ -87,11 +87,11 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCaptureThreshold exercises the three-layer capture decision:
-// plane override, floor, then the bound histogram's live p99.
+// TestCaptureThreshold exercises the two-layer capture decision: the
+// floor, then the bound histogram's live p99.
 func TestCaptureThreshold(t *testing.T) {
 	hist := &obs.Histogram{}
-	th := NewThreshold(PlanePipeline, hist, -1)
+	th := NewThreshold(hist, -1)
 
 	// Dynamic mode with a cold histogram: the floor is the bar.
 	if th.Exceeded(DefaultCaptureFloor - 1) {
@@ -105,7 +105,7 @@ func TestCaptureThreshold(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		hist.Observe(10 * time.Millisecond)
 	}
-	th2 := NewThreshold(PlanePipeline, hist, -1)
+	th2 := NewThreshold(hist, -1)
 	if th2.Exceeded(time.Millisecond) {
 		t.Error("1ms captured against a 10ms p99")
 	}
@@ -113,23 +113,23 @@ func TestCaptureThreshold(t *testing.T) {
 		t.Error("50ms not captured against a 10ms p99")
 	}
 
-	// A plane override beats everything, including the floor.
-	prev := SetPlaneOverride(PlanePipeline, 0)
-	defer SetPlaneOverride(PlanePipeline, prev)
-	if !th2.Exceeded(0) {
-		t.Error("override 0 did not capture everything")
+	// A zero floor with no histogram captures everything; an
+	// unreachable floor captures nothing, whatever the histogram says.
+	if !NewThreshold(nil, 0).Exceeded(0) {
+		t.Error("zero-floor threshold did not capture a zero-length root")
+	}
+	if NewThreshold(hist, time.Hour).Exceeded(50 * time.Millisecond) {
+		t.Error("an hour floor captured a 50ms root")
 	}
 }
 
 // TestCaptureToRing drives the full capture path: a root finished over
-// an override-zero threshold lands on DefaultRing with its spans
+// a zero-floor threshold lands on DefaultRing with its spans
 // copied, its ID assigned, and an exemplar linked from the histogram
 // bucket its duration landed in.
 func TestCaptureToRing(t *testing.T) {
-	prev := SetPlaneOverride(PlaneServe, 0)
-	defer SetPlaneOverride(PlaneServe, prev)
 	hist := &obs.Histogram{}
-	th := NewThreshold(PlaneServe, hist, -1)
+	th := NewThreshold(hist, 0)
 
 	tr := Get()
 	defer Put(tr)
@@ -248,8 +248,6 @@ func TestRingConcurrent(t *testing.T) {
 // TestOverflowDrops pins the bounded-memory contract: spans past
 // MaxSpans are counted, not recorded, and the capture reports them.
 func TestOverflowDrops(t *testing.T) {
-	prev := SetPlaneOverride(PlaneStore, 0)
-	defer SetPlaneOverride(PlaneStore, prev)
 	tr := Get()
 	defer Put(tr)
 	tr.Root(PlaneStore, "store.memtable", time.Now())
@@ -259,7 +257,7 @@ func TestOverflowDrops(t *testing.T) {
 	if sp := tr.Start(PlaneStore, "store.pread", 0, 0); sp != -1 {
 		t.Errorf("Start on a full trace returned %d, want -1", sp)
 	}
-	id, captured := tr.FinishRoot(time.Second, NewThreshold(PlaneStore, nil, 0))
+	id, captured := tr.FinishRoot(time.Second, NewThreshold(nil, 0))
 	if !captured {
 		t.Fatal("overflowed trace not captured")
 	}

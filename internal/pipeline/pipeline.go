@@ -203,7 +203,7 @@ func New(worlds int, cfg Config, consumers ...Consumer) *Pipeline {
 		r := &consumerRunner{c: c, name: name, op: "pipeline.consume." + name,
 			ch: make(chan Batch, cfg.ConsumerBuffer), done: make(chan struct{})}
 		r.hist = obs.Default.Histogram("pipeline_consume_seconds", obs.L("consumer", name))
-		r.th = otrace.NewThreshold(otrace.PlanePipeline, r.hist, 0)
+		r.th = otrace.NewThreshold(r.hist, 0)
 		p.runners = append(p.runners, r)
 		go r.run()
 	}

@@ -112,34 +112,46 @@ func TestWildParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestWildGridEquivalence is the spatial-index refactor's headline
-// property: a full campaign on the grid-indexed, allocation-lean hot
-// path deep-equals the brute-force linear-scan path — the seed
-// implementation's candidate search — for multiple seeds and worker
-// counts. Combined with TestWildParallelDeterminism this pins the
-// refactor to byte-identical output. Runs under -race in CI.
+// TestWildGridEquivalence is the spatial index's headline property on
+// the worlds the campaign builds: every candidate query a wild world's
+// scan loop issues — one per (tick, tag), at the encounter plane's own
+// scan interval and search radius — gets from the grid-indexed
+// NearIndices exactly the devices, in exactly the order, of the NearBrute
+// linear scan. A query depends only on static world data (device homes,
+// roam bounds and active windows, the tag's itinerary, the tick time),
+// so the worlds are built but never run. The shape is the end-to-end
+// benchmark's repro campaign (Scale 0.05, 120 devices per city), whose
+// fleets span enough grid cells that the queries take the grid path
+// rather than its linear fallback. Runs under -race in CI.
 func TestWildGridEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wild campaign is slow")
-	}
-	for _, seed := range []int64{31, 77} {
-		for _, workers := range []int{1, 0} {
-			was := device.SetGridIndexing(false)
-			brute := RunWild(tinyCampaign(seed, workers))
-			device.SetGridIndexing(true)
-			grid := RunWild(tinyCampaign(seed, workers))
-			device.SetGridIndexing(was)
-			if !equalWild(brute, grid) {
-				for i := range brute.Countries {
-					a, b := brute.Countries[i], grid.Countries[i]
-					if !equalCountry(a, b) {
-						t.Errorf("seed=%d workers=%d: country %s diverged between brute and grid paths (fixes %d vs %d, apple now %d vs %d)",
-							seed, workers, a.Spec.Code, len(a.Dataset.GroundTruth), len(b.Dataset.GroundTruth), a.AppleNow, b.AppleNow)
+	t.Parallel()
+	queries := 0
+	for _, seed := range []int64{1, 2} {
+		for _, job := range PlanWild(WildConfig{Seed: seed, Scale: 0.05, DevicesPerCity: 120}) {
+			w := job.build()
+			cfg := w.plane.Config()
+			devs := w.fleet.Devices()
+			var got []int32
+			var want []*device.Device
+			for now := job.Start; !now.After(w.end); now = now.Add(cfg.ScanInterval) {
+				for _, tg := range w.tags {
+					pos := tg.Pos(now)
+					got = w.fleet.NearIndices(pos, now, cfg.MaxRangeM, got[:0])
+					want = w.fleet.NearBrute(pos, now, cfg.MaxRangeM, want[:0])
+					queries++
+					same := len(got) == len(want)
+					for i := 0; same && i < len(got); i++ {
+						same = devs[got[i]] == want[i]
+					}
+					if !same {
+						t.Fatalf("seed=%d country %s tag %s at %v: grid returned %d candidates, brute %d (set or order diverged; grid %+v)",
+							seed, job.Spec.Code, tg.ID, now, len(got), len(want), w.fleet.GridStats())
 					}
 				}
 			}
 		}
 	}
+	t.Logf("%d candidate queries matched", queries)
 }
 
 // TestWildFleetScale: the fleet-growth knob multiplies the reporting

@@ -264,6 +264,8 @@ type countryWorld struct {
 	appleCrawler   *crawler.Crawler
 	samsungCrawler *crawler.Crawler
 	clouds         map[trace.Vendor]*cloud.Service
+	fleet          *device.Fleet
+	tags           []*tag.Tag
 	plane          *encounter.Plane
 	em             *pipeline.WorldEmitter // nil outside streaming runs
 }
@@ -423,7 +425,8 @@ func (j CountryJob) build() *countryWorld {
 		trace.VendorApple:   apple,
 		trace.VendorSamsung: samsung,
 	}
-	plane := encounter.New(encounter.Config{}, e, fleet, []*tag.Tag{airTag, smartTag}, clouds)
+	tags := []*tag.Tag{airTag, smartTag}
+	plane := encounter.New(encounter.Config{}, e, fleet, tags, clouds)
 	plane.Attach(start)
 
 	// Vantage point and crawlers.
@@ -467,6 +470,8 @@ func (j CountryJob) build() *countryWorld {
 		appleCrawler:   appleCrawler,
 		samsungCrawler: samsungCrawler,
 		clouds:         clouds,
+		fleet:          fleet,
+		tags:           tags,
 		plane:          plane,
 		em:             em,
 	}

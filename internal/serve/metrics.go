@@ -22,6 +22,10 @@ import (
 type endpointMetrics struct {
 	latency *obs.Histogram
 	codes   [6]*obs.Counter // indexed by status/100 ("2xx" is codes[2])
+	// th is the endpoint's trace capture bar: its own live p99 (from
+	// latency, the histogram the wrapper feeds), floored at the default
+	// so a cold histogram doesn't capture bulk traffic.
+	th *otrace.Threshold
 }
 
 // statusRecorder captures the handler's status code and, when the
@@ -67,10 +71,8 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 		m.codes[c] = s.reg.Counter("serve_requests_total",
 			obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(c)+"xx"))
 	}
-	// The capture bar for this endpoint: its own live p99 (from the
-	// same histogram the latency wrapper feeds), floored at the default
-	// so a cold histogram doesn't capture bulk traffic.
-	th := otrace.NewThreshold(otrace.PlaneServe, m.latency, -1)
+	m.th = otrace.NewThreshold(m.latency, -1)
+	s.endpoints = append(s.endpoints, m)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		mt, tt := obs.Enabled(), otrace.Enabled()
 		if !mt && !tt {
@@ -81,7 +83,7 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 		rec.ResponseWriter, rec.status = w, http.StatusOK
 		t0 := time.Now()
 		if tt {
-			rec.tr, rec.th, rec.t0 = otrace.Get(), th, t0
+			rec.tr, rec.th, rec.t0 = otrace.Get(), m.th, t0
 			rec.tr.Root(otrace.PlaneServe, endpoint, t0)
 			r = r.WithContext(otrace.NewContext(r.Context(), rec.tr))
 		}
@@ -91,7 +93,7 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 		// histogram: a new-max request must clear the p99 of the workload
 		// so far, not a bar its own bucket just dragged up.
 		if rec.tr != nil {
-			rec.tr.FinishRoot(elapsed, th)
+			rec.tr.FinishRoot(elapsed, rec.th)
 			otrace.Put(rec.tr)
 			rec.tr, rec.th = nil, nil
 		}

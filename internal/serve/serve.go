@@ -55,7 +55,8 @@ type Server struct {
 	// over the store and cache counters. Per-instance (not obs.Default)
 	// so the many short-lived stores a campaign builds never pile up
 	// stale series in the process registry.
-	reg *obs.Registry
+	reg       *obs.Registry
+	endpoints []*endpointMetrics // the instrumented /v1/* endpoints
 }
 
 // NewServer builds the query service over per-vendor backends. The

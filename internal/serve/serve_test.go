@@ -28,6 +28,13 @@ func report(at time.Time, v trace.Vendor, tagID string, p geo.LatLon) trace.Repo
 // fixture: apple has two spaced reports for airtag-1, samsung one fresher
 // report for the same tag plus its own smarttag-1.
 func fixture() (map[trace.Vendor]*cloud.Service, *httptest.Server) {
+	services := fixtureServices()
+	return services, httptest.NewServer(NewServer(services))
+}
+
+// fixtureServices are fixture's stores, for tests that build their own
+// server over them.
+func fixtureServices() map[trace.Vendor]*cloud.Service {
 	apple := cloud.NewService(trace.VendorApple)
 	samsung := cloud.NewService(trace.VendorSamsung)
 	apple.Ingest(report(t0, trace.VendorApple, "airtag-1", pos))
@@ -35,11 +42,10 @@ func fixture() (map[trace.Vendor]*cloud.Service, *httptest.Server) {
 	samsung.Ingest(report(t0.Add(20*time.Minute), trace.VendorSamsung, "airtag-1", geo.Destination(pos, 180, 500)))
 	samsung.Ingest(report(t0, trace.VendorSamsung, "smarttag-1", pos))
 	apple.Register("airtag-quiet") // paired, never reported
-	services := map[trace.Vendor]*cloud.Service{
+	return map[trace.Vendor]*cloud.Service{
 		trace.VendorApple:   apple,
 		trace.VendorSamsung: samsung,
 	}
-	return services, httptest.NewServer(NewServer(services))
 }
 
 func getJSON(t *testing.T, url string, out any) int {

@@ -17,16 +17,24 @@ import (
 
 var traceIDPattern = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
+// withCaptureBar replaces the live-p99 trace capture bar of every
+// instrumented endpoint with a fixed one: 0 captures every request, an
+// hour captures none.
+func withCaptureBar(s *Server, bar time.Duration) *Server {
+	for _, m := range s.endpoints {
+		m.th = otrace.NewThreshold(nil, bar)
+	}
+	return s
+}
+
 // TestXTagTraceHeader pins the capture advertisement contract on the
 // /v1/* endpoints: a request whose trace clears the serve plane's
 // capture bar answers with an X-Tag-Trace header naming the capture on
 // /debug/traces, and a request under the bar answers without one.
 func TestXTagTraceHeader(t *testing.T) {
-	_, ts := fixture()
+	services := fixtureServices()
+	ts := httptest.NewServer(withCaptureBar(NewServer(services), 0))
 	defer ts.Close()
-
-	prev := otrace.SetPlaneOverride(otrace.PlaneServe, 0) // capture everything
-	defer otrace.SetPlaneOverride(otrace.PlaneServe, prev)
 
 	resp, err := http.Get(ts.URL + "/v1/lastknown?tag=airtag-1")
 	if err != nil {
@@ -51,8 +59,9 @@ func TestXTagTraceHeader(t *testing.T) {
 	}
 
 	// Under an unreachable bar, the same request stays unadvertised.
-	otrace.SetPlaneOverride(otrace.PlaneServe, time.Hour)
-	resp, err = http.Get(ts.URL + "/v1/lastknown?tag=airtag-1")
+	quiet := httptest.NewServer(withCaptureBar(NewServer(services), time.Hour))
+	defer quiet.Close()
+	resp, err = http.Get(quiet.URL + "/v1/lastknown?tag=airtag-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +74,8 @@ func TestXTagTraceHeader(t *testing.T) {
 // TestDebugTracesEndpoint drives the /debug/traces surface: JSON shape,
 // newest-first ordering, and the plane/op/min/limit filters.
 func TestDebugTracesEndpoint(t *testing.T) {
-	_, ts := fixture()
+	ts := httptest.NewServer(withCaptureBar(NewServer(fixtureServices()), 0))
 	defer ts.Close()
-
-	prev := otrace.SetPlaneOverride(otrace.PlaneServe, 0)
-	defer otrace.SetPlaneOverride(otrace.PlaneServe, prev)
 	for _, path := range []string{
 		"/v1/lastknown?tag=airtag-1",
 		"/v1/track?tag=airtag-1",
@@ -159,10 +165,8 @@ func TestColdHistoryTraceAnatomy(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 
-	ts := httptest.NewServer(NewServer(map[trace.Vendor]*cloud.Service{trace.VendorApple: svc}))
+	ts := httptest.NewServer(withCaptureBar(NewServer(map[trace.Vendor]*cloud.Service{trace.VendorApple: svc}), 0))
 	defer ts.Close()
-	prev := otrace.SetPlaneOverride(otrace.PlaneServe, 0)
-	defer otrace.SetPlaneOverride(otrace.PlaneServe, prev)
 
 	resp, err := http.Get(ts.URL + "/v1/history?tag=airtag-cold")
 	if err != nil {

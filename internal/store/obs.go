@@ -31,8 +31,8 @@ var (
 // p99" is exactly the set worth keeping. Quarantines capture
 // unconditionally: every one is an incident.
 var (
-	walFsyncThreshold   = otrace.NewThreshold(otrace.PlaneTier, obsWALFsyncHist, 0)
-	flushThreshold      = otrace.NewThreshold(otrace.PlaneTier, obsFlushHist, 0)
-	compactThreshold    = otrace.NewThreshold(otrace.PlaneTier, obsCompactHist, 0)
-	quarantineThreshold = otrace.NewThreshold(otrace.PlaneTier, nil, 0)
+	walFsyncThreshold   = otrace.NewThreshold(obsWALFsyncHist, 0)
+	flushThreshold      = otrace.NewThreshold(obsFlushHist, 0)
+	compactThreshold    = otrace.NewThreshold(obsCompactHist, 0)
+	quarantineThreshold = otrace.NewThreshold(nil, 0)
 )

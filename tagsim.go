@@ -202,10 +202,6 @@ var (
 	SpeedClassifier    = analysis.SpeedClassifier
 	PeriodClassifier   = analysis.PeriodClassifier
 	WeekPartClassifier = analysis.WeekPartClassifier
-	// SetIndexedAnalysis toggles the index-backed analysis plane
-	// (testing/benchmark escape hatch mirroring device.SetGridIndexing);
-	// disabled, the exported metrics run the historical per-call scans.
-	SetIndexedAnalysis = analysis.SetIndexedAnalysis
 	// DistinctReports collapses repeated crawl observations of one
 	// underlying report (shared by the analysis plane and the crawler).
 	DistinctReports = trace.DistinctReports
@@ -308,10 +304,9 @@ var (
 	RunLoad = load.Run
 	// NewHTTPTarget points the load generator at a query API base URL.
 	NewHTTPTarget = load.NewHTTPTarget
-	// NewServiceTarget points the load generator directly at the stores.
+	// NewServiceTarget points the load generator directly at the stores,
+	// behind the hot-tag cache the query API deploys.
 	NewServiceTarget = load.NewServiceTarget
-	// NewCachedServiceTarget is NewServiceTarget behind the hot-tag cache.
-	NewCachedServiceTarget = load.NewCachedServiceTarget
 	// LoadReadMix builds the 60/75/90%-read operation mixes of the
 	// serving benchmarks.
 	LoadReadMix = load.ReadMix
